@@ -1,7 +1,7 @@
 (* The fleet front-end: consistent-hash routing of fingerprint keys
    onto N worker processes, admission control with load shedding,
-   router-side hot-entry replication, and fleet-level stats
-   aggregation.
+   router-side hot-entry replication keyed by request identity, and
+   fleet-level stats aggregation.
 
    The router is single-threaded and event-driven: [submit] makes the
    admission decision synchronously (reject, answer from the hot cache,
@@ -652,112 +652,131 @@ type submit_outcome =
 let overloaded_json ?id what =
   Service.Error.to_json ?id (Service.Error.Overloaded what)
 
+(* Route a hot-tier miss to the ring owner of its fingerprint [fp]:
+   shed when that worker is down or its queue is full, else forward the
+   request ([raw] when the client sent one) under a ticket that carries
+   the hot-tier [key] its answer is stored under. *)
+let route ?id ?raw t (req : Service.Request.t) ~key ~fp =
+  let w = t.workers.(Ring.lookup t.ring fp) in
+  if not w.Worker.alive then begin
+    (* The owner is in restart backoff: shed (retryable) rather than
+       queue onto a corpse.  Permanently-down workers never reach here —
+       the breaker removed them from the ring. *)
+    t.shed <- t.shed + 1;
+    Answered
+      (note_answered t req
+         (overloaded_json ?id
+            (Printf.sprintf "worker %d restarting" w.Worker.id)))
+  end
+  else
+  let depth = Worker.depth w in
+  if depth >= t.cfg.queue_depth then begin
+    t.shed <- t.shed + 1;
+    Answered
+      (note_answered t req
+         (overloaded_json ?id
+            (Printf.sprintf "worker %d queue full (%d inflight)"
+               w.Worker.id depth)))
+  end
+  else begin
+    let json =
+      with_id ?id
+        (match raw with
+        | Some j -> j
+        | None -> Service.Request.to_json req)
+    in
+    (* The soft band: stamp a tight planning budget onto requests that
+       carry none, so the worker's deadline + degradation ladder answers
+       fast instead of queueing work it cannot afford. *)
+    let json =
+      if depth >= t.cfg.soft_depth && req.Service.Request.deadline_ms = None
+      then begin
+        t.admission_degraded <- t.admission_degraded + 1;
+        with_field "deadline_ms"
+          (Util.Json.Float t.cfg.degrade_deadline_ms) json
+      end
+      else json
+    in
+    (* Tracing: open the router's root span for this request (adopting
+       the client's context if it sent one) and re-stamp the forwarded
+       traceparent so the worker parents under the router span, not the
+       client span. *)
+    let tr =
+      open_request_trace t req
+        ~attrs:[ ("worker", string_of_int w.Worker.id) ]
+    in
+    let json =
+      match tr with
+      | Some (_, os) -> (
+          match Obs.Trace.to_wire (Obs.Trace.open_ctx os) with
+          | Some tp ->
+              with_field "traceparent" (Util.Json.String tp) json
+          | None -> json)
+      | None -> json
+    in
+    t.seq <- t.seq + 1;
+    let seq = t.seq in
+    if Worker.send_line w (Util.Json.to_string json) then begin
+      Worker.enqueue w ~seq ~kind:(Worker.Request { key; client_id = id });
+      Hashtbl.replace t.pending_meta seq
+        {
+          m_sent_at = now ();
+          m_chaos_at = t.chaos_injected;
+          m_trace = tr;
+        };
+      t.routed <- t.routed + 1;
+      Routed { worker = w.Worker.id; seq }
+    end
+    else begin
+      (* The pipe died under us: restart the slot and shed this request
+         (retryable — the fresh worker will take it). *)
+      restart_worker t w ~reason:"write failed";
+      t.shed <- t.shed + 1;
+      let json = overloaded_json ?id
+          (Printf.sprintf "worker %d restarting" w.Worker.id)
+      in
+      let ok, flags = outcome_of_json json in
+      observe_slo t ~ok ~latency_ms:0.0;
+      (match tr with
+      | Some pair ->
+          finalize_trace t pair ~ok ~flags ~latency_ms:0.0
+            ~shipped:None
+      | None -> ());
+      Answered json
+    end
+  end
+
+(* The front door.  The hot tier is keyed by request identity, so a
+   hot hit costs the chain-independent validation and one table lookup:
+   no chain is built and nothing is fingerprinted.  Only a miss resolves
+   the request and fingerprints it for the ring, which keeps placement
+   (and so every worker's plan cache) keyed by plan content. *)
 let submit ?id ?raw t (req : Service.Request.t) =
   t.received <- t.received + 1;
-  match Service.Request.resolve req with
-  | Error e ->
-      (* Validation at the front door: an invalid request never costs a
-         worker round-trip or a queue slot. *)
-      t.rejected_invalid <- t.rejected_invalid + 1;
-      Answered (note_answered t req (Service.Error.to_json ?id e))
-  | Ok (chain, machine) -> (
-      let config = Service.Request.config_of ~base:t.base_config req in
-      let fp = Service.Fingerprint.of_request ~chain ~machine ~config in
-      let key = Service.Fingerprint.to_hex fp in
+  let reject e =
+    (* Validation at the front door: an invalid request never costs a
+       worker round-trip or a queue slot. *)
+    t.rejected_invalid <- t.rejected_invalid + 1;
+    Answered (note_answered t req (Service.Error.to_json ?id e))
+  in
+  match Service.Request.validate_fields req with
+  | Error e -> reject e
+  | Ok () -> (
+      let key = Service.Request.identity req in
       match hot_lookup t key with
       | Some resp ->
           t.hot_hits <- t.hot_hits + 1;
           Answered (note_answered t req (with_id ?id resp))
-      | None ->
-          let w = t.workers.(Ring.lookup t.ring key) in
-          if not w.Worker.alive then begin
-            (* The owner is in restart backoff: shed (retryable) rather
-               than queue onto a corpse.  Permanently-down workers never
-               reach here — the breaker removed them from the ring. *)
-            t.shed <- t.shed + 1;
-            Answered
-              (note_answered t req
-                 (overloaded_json ?id
-                    (Printf.sprintf "worker %d restarting" w.Worker.id)))
-          end
-          else
-          let depth = Worker.depth w in
-          if depth >= t.cfg.queue_depth then begin
-            t.shed <- t.shed + 1;
-            Answered
-              (note_answered t req
-                 (overloaded_json ?id
-                    (Printf.sprintf "worker %d queue full (%d inflight)"
-                       w.Worker.id depth)))
-          end
-          else begin
-            let json =
-              with_id ?id
-                (match raw with
-                | Some j -> j
-                | None -> Service.Request.to_json req)
-            in
-            (* The soft band: stamp a tight planning budget onto
-               requests that carry none, so the worker's deadline +
-               degradation ladder answers fast instead of queueing
-               work it cannot afford. *)
-            let json =
-              if depth >= t.cfg.soft_depth && req.Service.Request.deadline_ms = None
-              then begin
-                t.admission_degraded <- t.admission_degraded + 1;
-                with_field "deadline_ms"
-                  (Util.Json.Float t.cfg.degrade_deadline_ms) json
-              end
-              else json
-            in
-            (* Tracing: open the router's root span for this request
-               (adopting the client's context if it sent one) and
-               re-stamp the forwarded traceparent so the worker parents
-               under the router span, not the client span. *)
-            let tr =
-              open_request_trace t req
-                ~attrs:[ ("worker", string_of_int w.Worker.id) ]
-            in
-            let json =
-              match tr with
-              | Some (_, os) -> (
-                  match Obs.Trace.to_wire (Obs.Trace.open_ctx os) with
-                  | Some tp ->
-                      with_field "traceparent" (Util.Json.String tp) json
-                  | None -> json)
-              | None -> json
-            in
-            t.seq <- t.seq + 1;
-            let seq = t.seq in
-            if Worker.send_line w (Util.Json.to_string json) then begin
-              Worker.enqueue w ~seq ~kind:(Worker.Request { key; client_id = id });
-              Hashtbl.replace t.pending_meta seq
-                {
-                  m_sent_at = now ();
-                  m_chaos_at = t.chaos_injected;
-                  m_trace = tr;
-                };
-              t.routed <- t.routed + 1;
-              Routed { worker = w.Worker.id; seq }
-            end
-            else begin
-              (* The pipe died under us: restart the slot and shed this
-                 request (retryable — the fresh worker will take it). *)
-              restart_worker t w ~reason:"write failed";
-              t.shed <- t.shed + 1;
-              let json = overloaded_json ?id
-                  (Printf.sprintf "worker %d restarting" w.Worker.id)
+      | None -> (
+          match Service.Request.resolve req with
+          | Error e -> reject e
+          | Ok (chain, machine) ->
+              let config = Service.Request.config_of ~base:t.base_config req in
+              let fp =
+                Service.Fingerprint.to_hex
+                  (Service.Fingerprint.of_request ~chain ~machine ~config)
               in
-              let ok, flags = outcome_of_json json in
-              observe_slo t ~ok ~latency_ms:0.0;
-              (match tr with
-              | Some pair ->
-                  finalize_trace t pair ~ok ~flags ~latency_ms:0.0
-                    ~shipped:None
-              | None -> ());
-              Answered json
-            end
-          end)
+              route ?id ?raw t req ~key ~fp))
 
 (* ------------------------------------------------------------------ *)
 (* Health checking                                                      *)

@@ -26,7 +26,8 @@ type config = {
   degrade_deadline_ms : float;  (** injected budget (default 25). *)
   replicate_after : int;
       (** hot replication: store a response router-side after this many
-          successful answers for its fingerprint; 0 disables
+          successful answers for its request identity
+          ({!Service.Request.identity}); 0 disables
           (default 2). *)
   hot_capacity : int;  (** max stored hot responses (default 256). *)
   health_timeout_s : float;  (** per-sweep probe budget (default 2). *)
@@ -75,9 +76,9 @@ val create :
   ?cfg:config -> ?base_config:Chimera.Config.t -> ?tracing:bool ->
   ?trace_seed:int -> ?slo:Obs.Slo.t -> string array array -> t
 (** Spawn one worker per argv and build the ring.  [base_config] seeds
-    {!Service.Request.config_of} for fingerprinting (it must match what
-    the workers themselves plan with, or hot-cache keys and worker
-    cache keys disagree — harmlessly, but replication stops helping).
+    {!Service.Request.config_of} for the fingerprints the ring hashes
+    (it should match what the workers themselves plan with, so that
+    requests sharing a plan land on the worker caching it).
 
     [tracing] (default false) turns on distributed tracing: every
     routed request gets a router-side ["fleet.request"] span (adopting
@@ -108,10 +109,15 @@ type submit_outcome =
           shed. *)
 
 val submit : ?id:Util.Json.t -> ?raw:Util.Json.t -> t -> Service.Request.t -> submit_outcome
-(** Admit one request.  [raw] is the client's original JSON object; it
-    is forwarded verbatim when given (so unknown fields survive the
-    trip), otherwise the request is re-encoded.  [id] is echoed in
-    every answer, synchronous or not. *)
+(** Admit one request.  The chain-independent checks
+    ({!Service.Request.validate_fields}) run first; then the hot tier
+    is looked up by {!Service.Request.identity}, so a hot hit builds no
+    chain and computes no fingerprint.  A miss is resolved (invalid
+    requests are answered here) and routed to the ring owner of its
+    fingerprint.  [raw] is the client's original JSON object; it is
+    forwarded verbatim when given (so unknown fields survive the trip),
+    otherwise the request is re-encoded.  [id] is echoed in every
+    answer, synchronous or not. *)
 
 val poll : ?timeout_s:float -> t -> event list
 (** Wait up to [timeout_s] (default 0: just drain what's ready) for

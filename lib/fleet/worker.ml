@@ -11,9 +11,10 @@
 
 type kind =
   | Request of { key : string; client_id : Util.Json.t option }
-      (** a routed request: [key] is the fingerprint hex (for the
-          router's hot-entry replication), [client_id] the caller's
-          ["id"] field if any (echoed in synthesized failures). *)
+      (** a routed request: [key] is its {!Service.Request.identity}
+          (the router's hot tier stores the answer under it),
+          [client_id] the caller's ["id"] field if any (echoed in
+          synthesized failures). *)
   | Probe_health
   | Probe_stats
   | Probe_spans

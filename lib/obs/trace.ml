@@ -105,11 +105,14 @@ let of_wire str =
       Ok { trace_id = tid; parent_sid = int_of_string ("0x" ^ psid) }
   | _ -> Error (Printf.sprintf "malformed traceparent %S" str)
 
+(* The cap only drops children: a root span closes last, after its
+   children have filled the trace, and losing it would lose the
+   request's whole-span total. *)
 let finish trace span =
   span.close_seq <- Atomic.fetch_and_add trace.seq 1;
   span.dur_us <- Clock.now_us () - span.start_us;
   Mutex.protect trace.mutex (fun () ->
-      if trace.n_spans >= trace.max_spans then
+      if trace.n_spans >= trace.max_spans && span.parent <> None then
         trace.dropped <- trace.dropped + 1
       else begin
         trace.n_spans <- trace.n_spans + 1;

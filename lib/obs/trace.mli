@@ -57,8 +57,10 @@ val make :
     distributed trace, that this trace's root spans logically hang
     under; it rides {!to_json} / {!to_ship_json} so the collector can
     draw the cross-process edge.  At most [max_spans] (default 4096)
-    spans are retained; further spans are counted in {!dropped} and
-    discarded, bounding memory per trace. *)
+    child spans are retained; further children are counted in
+    {!dropped} and discarded, bounding memory per trace.  Spans without
+    a parent are never dropped, so a root that closes after a full
+    trace of children keeps its duration. *)
 
 val adopt : ?label:string -> ?max_spans:int -> remote -> t
 (** A trace continuing a decoded wire context: same trace id, root
@@ -76,7 +78,7 @@ val remote_parent : t -> int option
     context. *)
 
 val dropped : t -> int
-(** Spans discarded because the trace hit [max_spans]. *)
+(** Child spans discarded because the trace hit [max_spans]. *)
 
 val span : ?attrs:(string * string) list -> ctx -> string -> (ctx -> 'a) -> 'a
 (** [span ctx name f] times [f] as a span called [name].  [f] receives

@@ -124,6 +124,16 @@ let config_of ?(base = Chimera.Config.default) t =
     use_cost_model = base.Chimera.Config.use_cost_model && not t.tuner;
   }
 
+(* Length-prefixed strings and fixed-width flags keep the encoding
+   injective: two requests share an identity exactly when these seven
+   fields are equal. *)
+let identity t =
+  let flag b = if b then '1' else '0' in
+  Printf.sprintf "%d:%s%d:%s%c%c%c%c%s" (String.length t.workload) t.workload
+    (String.length t.arch) t.arch (flag t.softmax) (flag t.relu)
+    (flag t.fusion) (flag t.tuner)
+    (match t.batch with Some b -> string_of_int b | None -> "")
+
 let deadline_of ?default_ms t =
   match (t.deadline_ms, default_ms) with
   | Some ms, _ | None, Some ms -> Some (Deadline.of_ms ms)

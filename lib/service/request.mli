@@ -73,6 +73,12 @@ val resolve : t -> (Ir.Chain.t * Arch.Machine.t, Error.t) result
     offending field named ([workload], [arch], [batch],
     [deadline_ms]). *)
 
+val validate_fields : t -> (unit, Error.t) result
+(** The chain-independent half of {!resolve}'s validation: [batch] in
+    [1, {!max_axis_extent}] and [deadline_ms] positive and finite.
+    Cheap enough to run on every request, including the ones the fleet
+    router answers from its hot tier without resolving. *)
+
 val validate_chain : Ir.Chain.t -> (unit, Error.t) result
 (** The chain-shape half of validation (stage count, axis extents),
     exposed for callers that build chains directly. *)
@@ -81,6 +87,18 @@ val config_of : ?base:Chimera.Config.t -> t -> Chimera.Config.t
 (** The compiler configuration the request implies: [base] (default
     {!Chimera.Config.default}) with the fusion switch applied and the
     cost model cleared when [tuner] is set. *)
+
+val identity : t -> string
+(** The request's identity: an injective encoding of the seven fields
+    that determine its chain, machine and config and the fields an
+    answer echoes ([workload], [arch], [softmax], [relu], [batch],
+    [fusion], [tuner]).  [deadline_ms], [timings] and [traceparent]
+    are left out.  Under one base config, requests with equal
+    identities resolve alike and share a fingerprint; the converse
+    does not hold, since table rows that build the same chain (G1/G2/G3
+    under one batch override) share a fingerprint but not an identity.
+    A new request field that changes the chain, machine or config must
+    join this encoding. *)
 
 val deadline_of : ?default_ms:float -> t -> Deadline.t option
 (** The planning deadline this request implies, started now: the

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Assert the fleet-smoke invariants over two loadgen reports.
+"""Assert the fleet-smoke invariants over three loadgen reports.
 
-Usage: check_fleet.py REPORT_1W.json REPORT_4W.json FLEET.prom
+Usage: check_fleet.py REPORT_1W.json REPORT_4W.json FLEET.prom REPORT_HOT.json
 
-The two reports come from identical open-loop runs (same rps, duration,
-seed, jitter) against a single-worker and a four-worker fleet.  The
-smoke asserts the fleet's contract:
+The first two reports come from identical open-loop runs (same rps,
+duration, seed, jitter) against a single-worker and a four-worker fleet.
+The third comes from a prewarmed two-worker run without batch jitter,
+the only one that reaches the router hot tier.  The smoke asserts the
+fleet's contract:
 
   * every request got a typed answer (no hangs, no protocol errors);
   * overload surfaced as shedding AND degradation, not as failures;
   * four workers serviced strictly more load than one;
   * the Prometheus exposition merges worker histograms losslessly and
-    carries per-worker labelled series plus the router's own counters.
+    carries per-worker labelled series plus the router's own counters;
+  * the prewarmed run answers repeats from the router hot tier, with no
+    failures and no protocol errors.
 """
 
 import json
@@ -48,10 +52,10 @@ def serviced(r):
 
 
 def main():
-    if len(sys.argv) != 4:
-        fail(f"usage: {sys.argv[0]} REPORT_1W REPORT_4W FLEET_PROM")
-    one, four, prom_path = sys.argv[1], sys.argv[2], sys.argv[3]
-    r1, r4 = load(one), load(four)
+    if len(sys.argv) != 5:
+        fail(f"usage: {sys.argv[0]} REPORT_1W REPORT_4W FLEET_PROM REPORT_HOT")
+    one, four, prom_path, hot = sys.argv[1:]
+    r1, r4, rh = load(one), load(four), load(hot)
 
     check_answered("1-worker", r1)
     check_answered("4-worker", r4)
@@ -117,6 +121,21 @@ def main():
     m = re.search(r"^chimera_loadgen_latency_ms_count (\d+)$", prom, re.M)
     if not m or int(m.group(1)) != r4["answered"]:
         fail("loadgen latency histogram does not cover every answer")
+
+    # The hot tier: a prewarmed fleet without jitter answers repeats at
+    # the router.  Prewarming stores every request of the mix, so most
+    # answers must come from there (a jittered run scores a stray hit).
+    if rh["router"]["hot_hits"] <= 0:
+        fail("prewarmed run: no router hot-tier hits")
+    if 2 * rh["router"]["hot_hits"] < rh["offered"]:
+        fail(f"prewarmed run: only {rh['router']['hot_hits']} of "
+             f"{rh['offered']} answered from the hot tier")
+    if rh["failed"] != 0:
+        fail(f"prewarmed run: {rh['failed']} typed failures")
+    if rh["router"]["protocol_errors"] != 0:
+        fail(f"prewarmed run: {rh['router']['protocol_errors']} protocol errors")
+    print(f"check_fleet: hot tier answered {rh['router']['hot_hits']} "
+          f"of {rh['offered']}")
 
     print("check_fleet: OK")
 

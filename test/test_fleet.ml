@@ -505,6 +505,33 @@ let router_tests =
                   (Util.Json.member "id" json = Some (Util.Json.Int 7));
                 check_int "hot_hits counter" 1 (counter router "hot_hits")
             | Fleet.Router.Routed _ -> Alcotest.fail "expected a hot answer"));
+    case "a hot identity with a bad deadline or batch is still rejected"
+      (fun () ->
+        with_router [| ok_worker |] (fun router ->
+            check_int "warmed" 1 (Fleet.Router.prewarm router [ g2 () ]);
+            (match Fleet.Router.submit router (g2 ()) with
+            | Fleet.Router.Answered _ -> ()
+            | Fleet.Router.Routed _ -> Alcotest.fail "expected a hot answer");
+            List.iter
+              (fun (what, req) ->
+                match Fleet.Router.submit ~id:(Util.Json.Int 9) router req with
+                | Fleet.Router.Answered json ->
+                    check_true (what ^ ": invalid_request")
+                      (Util.Json.member "code" json
+                      = Some (Util.Json.String "invalid_request"));
+                    check_true (what ^ ": not the stored body")
+                      (Util.Json.member "ok" json
+                      = Some (Util.Json.Bool false));
+                    check_true (what ^ ": id echoed")
+                      (Util.Json.member "id" json = Some (Util.Json.Int 9))
+                | Fleet.Router.Routed _ -> Alcotest.failf "%s was routed" what)
+              [
+                ("deadline -1", g2 ~deadline_ms:(-1.0) ());
+                ("deadline nan", g2 ~deadline_ms:Float.nan ());
+                ("batch 0", g2 ~batch:0 ());
+              ];
+            check_int "three rejected" 3 (counter router "rejected_invalid");
+            check_int "one hot hit" 1 (counter router "hot_hits")));
     case "health sweeps restart unresponsive workers after K" (fun () ->
         let cfg =
           {
@@ -763,6 +790,26 @@ let e2e_tests =
               reqs;
             check_int "hot hits counted" (List.length reqs)
               (counter router "hot_hits")));
+    slow_case "an aliased request echoes its own workload" (fun () ->
+        (* G1 and G2 build one chain under a batch override, so they
+           share a fingerprint (and a worker cache entry) but not an
+           identity: the router must not answer G2 with G1's body. *)
+        with_router [| real_worker |] (fun router ->
+            let req w = Service.Request.make ~batch:4 ~workload:w ~arch:"cpu" () in
+            check_int "G1 warmed" 1
+              (Fleet.Router.prewarm ~timeout_s:120.0 router [ req "G1" ]);
+            let json =
+              match Fleet.Router.submit router (req "G2") with
+              | Fleet.Router.Answered json -> json
+              | Fleet.Router.Routed _ -> (
+                  match poll_until ~timeout_s:60.0 router 1 with
+                  | [ { outcome = Fleet.Router.Reply { json; _ }; _ } ] -> json
+                  | _ -> Alcotest.fail "expected one reply")
+            in
+            check_true "ok" (jfield "ok" json = Util.Json.Bool true);
+            check_true "echoes G2"
+              (jfield "workload" json = Util.Json.String "G2");
+            check_true "echoes cpu" (jfield "arch" json = Util.Json.String "cpu")));
     slow_case "an open-loop run answers every request" (fun () ->
         with_router [| real_worker; real_worker |] (fun router ->
             let mix = Option.get (Fleet.Traffic.by_name "Bert-Base") in

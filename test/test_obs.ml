@@ -340,12 +340,40 @@ let trace_tests =
             check_chrome_nesting (Obs.Export.chrome_json [ t ])));
     case "max_spans bounds memory and counts drops" (fun () ->
         let t = Obs.Trace.make ~max_spans:2 () in
-        for i = 1 to 5 do
-          Obs.Trace.span (Obs.Trace.ctx t) (Printf.sprintf "s%d" i)
-            (fun _ -> ())
-        done;
-        check_int "only two retained" 2 (List.length (Obs.Trace.spans t));
+        Obs.Trace.span (Obs.Trace.ctx t) "root" (fun ctx ->
+            for i = 1 to 5 do
+              Obs.Trace.span ctx (Printf.sprintf "s%d" i) (fun _ -> ())
+            done);
+        check_int "two children and the root retained" 3
+          (List.length (Obs.Trace.spans t));
         check_int "three dropped" 3 (Obs.Trace.dropped t));
+    case "the root span survives the span cap" (fun () ->
+        (* The shape of a heavy solve: the root closes last, after its
+           descendants have filled the trace. *)
+        let t = Obs.Trace.make ~max_spans:4 () in
+        Obs.Trace.span (Obs.Trace.ctx t) "request" (fun ctx ->
+            for _ = 1 to 3 do
+              Obs.Trace.span ctx "solve" (fun ctx ->
+                  Obs.Trace.span ctx "level" (fun _ -> ()))
+            done);
+        let names = List.map (fun s -> s.Obs.Trace.name) (Obs.Trace.spans t) in
+        check_true "root retained" (List.mem "request" names);
+        check_int "four children and the root" 5 (List.length names);
+        check_int "exactly two children dropped" 2 (Obs.Trace.dropped t);
+        check_true "phase totals include the root"
+          (List.mem_assoc "request" (Obs.Trace.phase_totals_ms t));
+        (* A two-phase root (the router's fleet.request) survives too. *)
+        let t = Obs.Trace.make ~max_spans:1 () in
+        match Obs.Trace.open_span (Obs.Trace.ctx t) "fleet.request" with
+        | None -> Alcotest.fail "enabled trace opened no span"
+        | Some os ->
+            for _ = 1 to 2 do
+              Obs.Trace.span (Obs.Trace.open_ctx os) "child" (fun _ -> ())
+            done;
+            Obs.Trace.close_span os;
+            check_true "two-phase root retained"
+              (List.mem_assoc "fleet.request" (Obs.Trace.phase_totals_ms t));
+            check_int "one child dropped" 1 (Obs.Trace.dropped t));
     case "phase totals sum by span name" (fun () ->
         let t = Obs.Trace.make () in
         Obs.Trace.span (Obs.Trace.ctx t) "a" (fun _ -> ());

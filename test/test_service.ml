@@ -155,6 +155,67 @@ let fingerprint_tests =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let qcheck = QCheck_alcotest.to_alcotest
+
+(* Resolution with the deadline ignored (it is not part of the
+   identity): the fingerprint hex, or the rejected field. *)
+let fingerprint_of ?(base = default) (r : Service.Request.t) =
+  match Service.Request.resolve { r with deadline_ms = None } with
+  | Error (Service.Error.Invalid_request { field; _ }) -> Error field
+  | Error e -> Error (Service.Error.code e)
+  | Ok (chain, machine) ->
+      Ok
+        (Service.Fingerprint.to_hex
+           (Service.Fingerprint.of_request ~chain ~machine
+              ~config:(Service.Request.config_of ~base r)))
+
+(* Random requests over all ten fields, valid and invalid: unknown
+   workloads and archs, out-of-range batches, bad deadlines, malformed
+   trace contexts.  Pairs either share their seven identity fields
+   (the other three redrawn) or are drawn independently from a domain
+   small enough that collisions happen. *)
+let request_pair_gen =
+  let open QCheck.Gen in
+  let workload =
+    oneofl [ "G1"; "G2"; "G3"; "G4"; "G5"; "G7"; "G8"; "G12"; "C1"; "C4";
+             "C8"; "G99"; ""; "1:G" ]
+  in
+  let arch = oneofl [ "cpu"; "gpu"; "npu"; "xpu"; "" ] in
+  let batch = oneofl [ None; Some 1; Some 4; Some 8; Some 0; Some (-3);
+                       Some ((1 lsl 20) + 1) ] in
+  let deadline =
+    oneofl [ None; Some 50.0; Some 1e9; Some 0.0; Some (-1.0); Some nan;
+             Some infinity ]
+  in
+  let traceparent =
+    oneofl [ None; Some "00-0af7651916cd43dd-00000001-01"; Some "garbage" ]
+  in
+  let extras = triple deadline bool traceparent in
+  let request =
+    map
+      (fun ((workload, arch, softmax, relu), (batch, fusion, tuner),
+            (deadline_ms, timings, traceparent)) ->
+        {
+          Service.Request.workload; arch; softmax; relu; batch; fusion;
+          tuner; deadline_ms; timings; traceparent;
+        })
+      (triple (quad workload arch bool bool) (triple batch bool bool) extras)
+  in
+  oneof
+    [
+      pair request request;
+      map2
+        (fun (a : Service.Request.t) (deadline_ms, timings, traceparent) ->
+          (a, { a with deadline_ms; timings; traceparent }))
+        request extras;
+    ]
+
+let print_request_pair (a, b) =
+  let show (r : Service.Request.t) =
+    Util.Json.to_string (Service.Request.to_json r)
+  in
+  show a ^ " / " ^ show b
+
 let request_tests =
   let open Service.Request in
   [
@@ -205,6 +266,32 @@ let request_tests =
         check_false "fusion off" (config_of r).Chimera.Config.use_fusion;
         let r = make ~workload:"G1" ~arch:"cpu" () in
         check_true "fusion on" (config_of r).Chimera.Config.use_fusion);
+    case "identity separates table rows that share a fingerprint" (fun () ->
+        let g1 = make ~workload:"G1" ~arch:"cpu" ~batch:4 () in
+        let g2 = make ~workload:"G2" ~arch:"cpu" ~batch:4 () in
+        check_true "one chain, one fingerprint"
+          (fingerprint_of g1 = fingerprint_of g2);
+        check_true "two identities" (identity g1 <> identity g2));
+    qcheck
+      (QCheck.Test.make ~count:300
+         ~name:"equal identity: same resolution and fingerprint"
+         (QCheck.make ~print:print_request_pair request_pair_gen)
+         (fun (a, b) ->
+           let same_fields =
+             a.workload = b.workload && a.arch = b.arch
+             && a.softmax = b.softmax && a.relu = b.relu && a.batch = b.batch
+             && a.fusion = b.fusion && a.tuner = b.tuner
+           in
+           (* Injective over the seven fields, blind to the other three. *)
+           (identity a = identity b) = same_fields
+           && ((not same_fields)
+              || List.for_all
+                   (fun base ->
+                     fingerprint_of ~base a = fingerprint_of ~base b)
+                   [
+                     default;
+                     { default with Chimera.Config.use_cost_model = false };
+                   ])));
   ]
 
 (* ------------------------------------------------------------------ *)
