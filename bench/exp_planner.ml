@@ -15,7 +15,11 @@
    cold plan it certifies — the budget is < 5%.  The checker runs on
    the same domain pool as the planner it is priced against (its
    per-order re-checks are independent, so they fan out just like the
-   per-order solves do), matching how the service verifies.
+   per-order solves do), matching how the service verifies.  The
+   [hit] column prices what a strict cache hit pays for the same plan:
+   every verifier pass (Verify.Driver.check_compiled — IR, plan,
+   certificate, differential walk, codegen lint) over the compiled
+   unit.
 
    Two closing passes pin the rest of the engine's contract: a
    sim-calibration fit per preset (outermost plans replayed through
@@ -167,13 +171,14 @@ let run () =
         [
           "preset"; "config"; "ref (ms)"; "fast (ms)"; "speedup";
           "ref evals"; "fast evals"; "saved"; "pruned"; "prune %";
-          "cert (ms)"; "cert %";
+          "cert (ms)"; "cert %"; "hit (ms)";
         ]
   in
   let all_ratios = ref [] in
   let cert_pcts = ref [] in
   let cert_mss = ref [] in
   let fast_mss = ref [] in
+  let hit_mss = ref [] in
   let family_ratios : (string, float list ref) Hashtbl.t =
     Hashtbl.create 4
   in
@@ -282,6 +287,36 @@ let run () =
             failwith
               (Printf.sprintf "%s/%s: certificate check found %d finding(s)"
                  preset name (List.length cert_ds));
+          (* The strict cache-hit path: the full verifier over the row's
+             plan, rebuilt into a compiled unit exactly as a cache hit
+             rebuilds it. *)
+          let hit_ds, hit_ms =
+            let registry =
+              Chimera.Compiler.registry_for Chimera.Config.default
+            in
+            let unit_ =
+              Chimera.Compiler.kernel_of_unit_plan ~machine ~registry chain
+                {
+                  Chimera.Compiler.level_plans = fast_plans;
+                  tuner_result = None;
+                }
+            in
+            let compiled =
+              {
+                Chimera.Compiler.chain;
+                machine;
+                config = Chimera.Config.default;
+                units = [ unit_ ];
+              }
+            in
+            timed_min ~reps:3 (fun () ->
+                Verify.Driver.check_compiled ~pool compiled)
+          in
+          if not (Verify.Diagnostic.ok hit_ds) then
+            failwith
+              (Printf.sprintf "%s/%s: strict verification failed: %s" preset
+                 name (Verify.Diagnostic.summary hit_ds));
+          hit_mss := hit_ms :: !hit_mss;
           let cert_pct = 100.0 *. cert_ms /. fast_ms in
           cert_pcts := cert_pct :: !cert_pcts;
           cert_mss := cert_ms :: !cert_mss;
@@ -310,6 +345,7 @@ let run () =
               Printf.sprintf "%.0f%%" (100.0 *. prune_rate);
               Printf.sprintf "%.2f" cert_ms;
               Printf.sprintf "%.1f%%" cert_pct;
+              Printf.sprintf "%.2f" hit_ms;
             ];
           Common.record_json
             (Printf.sprintf "%s/%s" preset name)
@@ -327,6 +363,7 @@ let run () =
               ("evals_saved", Util.Json.Int evals_saved);
               ("cert_check_ms", Util.Json.Float cert_ms);
               ("cert_check_pct", Util.Json.Float cert_pct);
+              ("verify_hit_ms", Util.Json.Float hit_ms);
               ( "sim_dram_bytes",
                 match sim_dram_bytes with
                 | Some b -> Util.Json.Float b
@@ -364,6 +401,9 @@ let run () =
     "certificate check overhead: aggregate %.2f%% (mean %.2f%% / max %.2f%%) \
      of cold-plan time (budget < 5%%)\n"
     cert_aggregate cert_mean cert_max;
+  let hit_max = List.fold_left Float.max 0.0 !hit_mss in
+  Printf.printf "strict cache-hit verification: max %.2f ms over %d rows\n"
+    hit_max (List.length !hit_mss);
   (* -- sim-calibration fit per preset ------------------------------- *)
   let calib_fields =
     List.concat_map
@@ -459,6 +499,7 @@ let run () =
     :: ("cert_check_aggregate_pct", Util.Json.Float cert_aggregate)
     :: ("cert_check_mean_pct", Util.Json.Float cert_mean)
     :: ("cert_check_max_pct", Util.Json.Float cert_max)
+    :: ("verify_hit_max_ms", Util.Json.Float hit_max)
     :: ("pool_lanes", Util.Json.Int (Util.Pool.size pool))
     :: ("calib_skipped_rows", Util.Json.Int !calib_skipped)
     :: (calib_fields @ List.concat alloc_rows)

@@ -150,12 +150,13 @@ type evaluator = {
 
 (* Everything but [e_loops] is a function of the chain alone, and the
    planner compiles one evaluator per candidate order — hundreds per
-   level — while the certificate checker compiles one per re-checked
-   entry.  [compile_template] freezes the perm-independent part once
+   level.  [compile_template] freezes the perm-independent part once
    (the [tref] skeletons below are immutable and shared by every
    specialized evaluator), so [compile_with] only rebuilds the active
    loop lists: an int-indexed walk instead of a re-traversal of the
-   IR.  [compile] remains the one-shot composition. *)
+   IR.  [compile] remains the one-shot composition, and [eval_order]
+   prices an order straight off the template without specializing at
+   all. *)
 
 type tref = {
   t_charged : bool;
@@ -166,14 +167,15 @@ type tref = {
 
 type tstage = {
   t_refs : tref array;
-  t_op_uses : bool array;  (* axis id -> the stage's op iterates it *)
-  t_drops : bool array;  (* axis id -> producer-private to this stage *)
+  t_live : bool array;
+      (* axis id -> the stage's op iterates it and no earlier stage
+         dropped it as producer-private (observation 3) — the loops
+         [analyze] acts on at this stage, whatever the order *)
 }
 
 type template = {
   t_axes : string array;
   t_extents : int array;
-  t_axis_id : (string, int) Hashtbl.t;
   t_sorted_fused : string list;
   t_fused : bool array;  (* axis id -> fused (some stage iterates it) *)
   t_n_fused : int;
@@ -185,10 +187,10 @@ let compile_template ?(charge_intermediates = false) (chain : Ir.Chain.t) =
   let t_axes = Array.of_list (List.map (fun a -> a.Ir.Axis.name) axes) in
   let t_extents = Array.of_list (List.map (fun a -> a.Ir.Axis.extent) axes) in
   let n = Array.length t_axes in
-  let t_axis_id = Hashtbl.create (2 * n) in
-  Array.iteri (fun i name -> Hashtbl.replace t_axis_id name i) t_axes;
+  let axis_id = Hashtbl.create (2 * n) in
+  Array.iteri (fun i name -> Hashtbl.replace axis_id name i) t_axes;
   let index name =
-    match Hashtbl.find_opt t_axis_id name with
+    match Hashtbl.find_opt axis_id name with
     | Some i -> i
     | None ->
         invalid_arg (Printf.sprintf "Movement.compile: unknown axis %s" name)
@@ -197,6 +199,8 @@ let compile_template ?(charge_intermediates = false) (chain : Ir.Chain.t) =
     if charge_intermediates then Ir.Chain.tensor_names chain
     else Ir.Chain.io_names chain
   in
+  (* Axes an earlier stage dropped as producer-private. *)
+  let dropped = Array.make n false in
   let stages =
     List.map
       (fun (stage : Ir.Chain.stage) ->
@@ -223,19 +227,18 @@ let compile_template ?(charge_intermediates = false) (chain : Ir.Chain.t) =
             t_acc_uses = acc_uses;
           }
         in
-        let t_op_uses = Array.make n false in
-        let t_drops = Array.make n false in
+        let t_live = Array.make n false in
         Array.iteri
           (fun i name ->
-            t_op_uses.(i) <- Ir.Operator.uses_axis op name;
-            t_drops.(i) <-
-              t_op_uses.(i) && Ir.Chain.axis_is_private chain name)
+            let uses = Ir.Operator.uses_axis op name in
+            t_live.(i) <- uses && not dropped.(i);
+            if uses && Ir.Chain.axis_is_private chain name then
+              dropped.(i) <- true)
           t_axes;
         {
           t_refs =
             Array.of_list (List.map compile_ref (Ir.Operator.all_refs op));
-          t_op_uses;
-          t_drops;
+          t_live;
         })
       chain.stages
   in
@@ -244,72 +247,89 @@ let compile_template ?(charge_intermediates = false) (chain : Ir.Chain.t) =
   {
     t_axes;
     t_extents;
-    t_axis_id;
     t_sorted_fused = List.sort compare fused;
     t_fused;
     t_n_fused = List.length fused;
     t_stages = Array.of_list stages;
   }
 
-let compile_with (tpl : template) ~perm =
-  let bad () =
+(* Axis names are few, and nearly always the very strings the chain was
+   built with: a physical-equality scan finds them without a single
+   string comparison, and only a miss pays the structural scan. *)
+let rec find_phys (axes : string array) l i =
+  if i >= Array.length axes then -1
+  else if axes.(i) == l then i
+  else find_phys axes l (i + 1)
+
+let rec find_equal axes l i =
+  if i >= Array.length axes then -1
+  else if String.equal axes.(i) l then i
+  else find_equal axes l (i + 1)
+
+let order_ids (tpl : template) ~perm =
+  let np = List.length perm in
+  let ids = Array.make np (-1) in
+  let seen = Array.make (Array.length tpl.t_axes) false in
+  (* Distinct known fused axes of the right count is exactly
+     permutation-ness — no sorting, no polymorphic compares. *)
+  let rec fill k = function
+    | [] -> true
+    | l :: rest ->
+        let a =
+          match find_phys tpl.t_axes l 0 with
+          | -1 -> find_equal tpl.t_axes l 0
+          | a -> a
+        in
+        if a < 0 || (not tpl.t_fused.(a)) || seen.(a) then false
+        else begin
+          seen.(a) <- true;
+          (* Innermost first, as [analyze] walks it; [perm] is
+             outermost-first. *)
+          ids.(k - 1) <- a;
+          fill (k - 1) rest
+        end
+  in
+  if np <> tpl.t_n_fused || not (fill np perm) then
     invalid_arg
       (Printf.sprintf
          "Movement: perm [%s] is not a permutation of the fused axes [%s]"
          (String.concat "," perm)
-         (String.concat "," tpl.t_sorted_fused))
-  in
-  (* Distinct known fused axes of the right count is exactly
-     permutation-ness — no sorting, no polymorphic compares. *)
-  let np = List.length perm in
-  if np <> tpl.t_n_fused then bad ();
-  let active = Array.make np 0 in
-  let seen = Array.make (Array.length tpl.t_axes) false in
-  (* Innermost first, as [analyze] walks it; [perm] is outermost-first. *)
-  List.iteri
-    (fun i l ->
-      match Hashtbl.find_opt tpl.t_axis_id l with
-      | Some a when tpl.t_fused.(a) && not seen.(a) ->
-          seen.(a) <- true;
-          active.(np - 1 - i) <- a
-      | _ -> bad ())
-    perm;
-  let alive = Array.make np true in
+         (String.concat "," tpl.t_sorted_fused));
+  ids
+
+let compile_with (tpl : template) ~perm =
+  let active = order_ids tpl ~perm in
   let stages =
     Array.map
       (fun (ts : tstage) ->
-        let refs =
-          Array.map
-            (fun (tr : tref) ->
-              (* [analyze] walks every active loop but acts only on the
-                 ones the operator uses; keeping just those preserves
-                 both the order and the exact multiplication
-                 sequence. *)
-              let count = ref 0 in
-              for p = 0 to np - 1 do
-                if alive.(p) && ts.t_op_uses.(active.(p)) then incr count
-              done;
-              let loops = Array.make !count (0, false) in
-              let k = ref 0 in
-              for p = 0 to np - 1 do
-                if alive.(p) && ts.t_op_uses.(active.(p)) then begin
-                  let a = active.(p) in
-                  loops.(!k) <- (a, tr.t_acc_uses.(a));
-                  incr k
-                end
-              done;
-              {
-                e_charged = tr.t_charged;
-                e_dtype_bytes = tr.t_dtype_bytes;
-                e_dims = tr.t_dims;
-                e_loops = loops;
-              })
-            ts.t_refs
-        in
-        for p = 0 to np - 1 do
-          if alive.(p) && ts.t_drops.(active.(p)) then alive.(p) <- false
+        (* [analyze] walks every active loop but acts only on the ones
+           the operator uses; keeping just those preserves both the
+           order and the exact multiplication sequence. *)
+        let n_live = ref 0 in
+        for p = 0 to Array.length active - 1 do
+          if ts.t_live.(active.(p)) then incr n_live
         done;
-        { e_refs = refs })
+        let live = Array.make !n_live 0 in
+        let k = ref 0 in
+        for p = 0 to Array.length active - 1 do
+          let a = active.(p) in
+          if ts.t_live.(a) then begin
+            live.(!k) <- a;
+            incr k
+          end
+        done;
+        {
+          e_refs =
+            Array.map
+              (fun (tr : tref) ->
+                {
+                  e_charged = tr.t_charged;
+                  e_dtype_bytes = tr.t_dtype_bytes;
+                  e_dims = tr.t_dims;
+                  e_loops = Array.map (fun a -> (a, tr.t_acc_uses.(a))) live;
+                })
+              ts.t_refs;
+        })
       tpl.t_stages
   in
   { e_axes = tpl.t_axes; e_extents = tpl.t_extents; e_stages = stages }
@@ -360,6 +380,68 @@ let eval_array ev tiles =
       mu := max !mu !total_df)
     ev.e_stages;
   (!dv, !mu)
+
+(* Pricing an order straight off the template: the walk [compile_with]
+   would freeze into [e_loops] — innermost-first live loops per stage —
+   is replayed in place over the order's axis ids, so a caller pricing
+   one tiling per order (the certificate checker's Solved and
+   Infeasible entries) never builds an evaluator.  Same integer
+   footprints, same float multiplications in the same order as
+   [eval_array] on [compile_with tpl ~perm]; nothing is allocated (the
+   accumulators are unboxed locals, trip counts go to the caller's
+   scratch — one division per permuted axis, not one per reference and
+   loop — and DV leaves through [out]). *)
+
+type cell = { mutable dv : float }
+
+let eval_order (tpl : template) ~order ~trips tiles (out : cell) =
+  let n = Array.length tpl.t_extents in
+  if Array.length tiles <> n || Array.length trips <> n then
+    invalid_arg "Movement.eval_order: vector has the wrong arity";
+  let np = Array.length order in
+  (* [Util.Ints.ceil_div], spelled out: sizes are in [1, extent].  Only
+     the permuted axes are ever live. *)
+  for p = 0 to np - 1 do
+    let a = order.(p) in
+    trips.(a) <- (tpl.t_extents.(a) + tiles.(a) - 1) / tiles.(a)
+  done;
+  let dv = ref 0.0 in
+  let mu = ref 0 in
+  for s = 0 to Array.length tpl.t_stages - 1 do
+    let st = tpl.t_stages.(s) in
+    let total_df = ref 0 in
+    for k = 0 to Array.length st.t_refs - 1 do
+      let r = st.t_refs.(k) in
+      let elems = ref 1 in
+      for d = 0 to Array.length r.t_dims - 1 do
+        let bound, terms = r.t_dims.(d) in
+        let span = ref 1 in
+        for t = 0 to Array.length terms - 1 do
+          let ai, coeff = terms.(t) in
+          span := !span + (coeff * (tiles.(ai) - 1))
+        done;
+        elems := !elems * if !span < bound then !span else bound
+      done;
+      let df = !elems * r.t_dtype_bytes in
+      total_df := !total_df + df;
+      if r.t_charged then begin
+        let dm = ref (float_of_int df) in
+        let keep_reuse = ref true in
+        for p = 0 to np - 1 do
+          let a = order.(p) in
+          if st.t_live.(a) then begin
+            let t = trips.(a) in
+            if r.t_acc_uses.(a) && t > 1 then keep_reuse := false;
+            if not !keep_reuse then dm := !dm *. float_of_int t
+          end
+        done;
+        dv := !dv +. !dm
+      end
+    done;
+    if !total_df > !mu then mu := !total_df
+  done;
+  out.dv <- !dv;
+  !mu
 
 let eval ev ~tiling =
   let tiles =

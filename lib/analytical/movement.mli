@@ -52,17 +52,39 @@ val compile :
 type template
 (** The perm-independent part of {!compile}, frozen once per chain:
     per-tensor footprint terms, charge flags, and int-indexed
-    axis-usage tables.  Specializing a template to an order only
-    rebuilds the active-loop lists, so callers that price many orders
-    of the same chain (the planner's frontier, the certificate
-    checker's loser re-pricing) pay the IR traversal once. *)
+    axis-usage and live-loop tables.  Specializing a template to an
+    order only rebuilds the active-loop lists, so the planner, which
+    prices many orders of the same chain, pays the IR traversal once;
+    {!eval_order} prices an order straight off the template without
+    specializing at all. *)
 
 val compile_template : ?charge_intermediates:bool -> Ir.Chain.t -> template
+
+val order_ids : template -> perm:string list -> int array
+(** The order as template axis ids (the indexing of {!axis_names}),
+    innermost first — the vector {!eval_order} walks.  Raises
+    [Invalid_argument] exactly as {!compile_with} does unless [perm] is
+    a permutation of {!fused_axes}. *)
 
 val compile_with : template -> perm:string list -> evaluator
 (** [compile_with (compile_template ?charge_intermediates chain) ~perm]
     is {!compile} — same validation, same evaluator, observably
     identical results. *)
+
+type cell = { mutable dv : float }
+(** An unboxed float slot {!eval_order} writes DV into. *)
+
+val eval_order :
+  template -> order:int array -> trips:int array -> int array -> cell -> int
+(** [eval_order tpl ~order ~trips tiles out] writes [dv_bytes] into
+    [out.dv] and returns [mu_bytes] for the order whose {!order_ids}
+    are [order], at the tile vector [tiles] (indexed like
+    {!axis_names}, sizes in [1, extent]).  [trips] is caller-owned
+    scratch of the same length, overwritten with the trip counts.
+    Bit-identical ([=]) to {!eval_array} on [compile_with tpl ~perm] —
+    the float operations happen in the same order — and allocates
+    nothing, so a caller pricing one tiling per order never compiles an
+    evaluator. *)
 
 val eval : evaluator -> tiling:Tiling.t -> float * int
 (** [(dv_bytes, mu_bytes)] for a tiling — equal to the corresponding

@@ -7,12 +7,13 @@
 
    - the winner is re-derived through the reference [Movement.analyze]
      path at its recorded tiling;
-   - every solved loser is re-priced at its recorded tiling through a
-     per-order compiled evaluator (cached across the unit's levels —
-     the entry volume is where the pass spends its budget).  The
-     evaluator is property-tested bit-identical to [Movement.analyze],
-     and the winner anchor above keeps one full reference re-analysis
-     in every certificate;
+   - every solved loser is re-priced at its recorded tiling straight
+     off the unit's shared [Movement.template] ([Movement.eval_order]:
+     no per-order evaluator is compiled, and nothing is allocated per
+     entry — the entry volume is where the pass spends its budget).
+     Template pricing is property-tested bit-identical to the compiled
+     evaluator and to [Movement.analyze], and the winner anchor above
+     keeps one full reference re-analysis in every certificate;
    - infeasibility claims are re-checked at the search box's minimum
      corner (MU is monotone non-decreasing in every tile size, so a
      corner that overflows proves the whole box does);
@@ -84,14 +85,15 @@ let ceil_div a b = (a + b - 1) / b
    the corner footprints, the gapped collapses, the per-axis ratios —
    depends only on the chain and the box, never on the loop order.  A
    certificate re-prices one box against every candidate order (dozens
-   to hundreds of entries), so [witness_pricer] folds the
-   perm-independent work once into int-indexed tables (axes are
-   interned, so a per-order call does one string lookup per permuted
-   axis and the scan itself is array reads); this is what keeps the
-   whole checker pass inside its < 5%-of-cold-plan budget now that
-   pruning covers most entries.  The returned closure only reads its
-   tables, so the checker's pooled per-entry fan-out can share it
-   across domains. *)
+   to hundreds of entries), so [stage_witness] folds the
+   perm-independent work once into int-indexed tables — including
+   observation 3's producer-private drops, which depend only on the
+   axis — and a per-order call is array reads over the order's axis
+   ids (interned by the caller once per unit, or from names here);
+   this is what keeps the whole checker pass inside its
+   < 5%-of-cold-plan budget now that pruning covers most entries.  The
+   pricers only read their tables, so the checker's pooled per-entry
+   fan-out can share them across domains. *)
 
 (* One reference, priced at the box corner, with its per-axis facts in
    arrays indexed by the interned axis id. *)
@@ -103,7 +105,16 @@ type priced_ref = {
   pr_ratio : float array;
 }
 
-let witness_pricer (chain : Ir.Chain.t) ~(box : C.box_axis list) =
+(* The staged pricer, callable with an order given either by name or —
+   the checker's path for candidate orders, whose ids the unit interns
+   once — as axis ids, innermost first.  Box axes are interned in box
+   order, which a valid box makes the chain's axis order. *)
+type witness = {
+  by_ids : int array -> (float, string) result;
+  by_perm : string list -> (float, string) result;
+}
+
+let stage_witness (chain : Ir.Chain.t) ~(box : C.box_axis list) =
   let bound_of =
     let tbl = Hashtbl.create 16 in
     List.iter (fun (b : C.box_axis) -> Hashtbl.replace tbl b.axis b) box;
@@ -125,6 +136,7 @@ let witness_pricer (chain : Ir.Chain.t) ~(box : C.box_axis list) =
   let io = Ir.Chain.io_names chain in
   let err = ref None in
   let fail reason = if !err = None then err := Some reason in
+  let dropped = Array.make nax false in
   (* One priced record per (stage, IO ref): the corner DM before reuse
      pricing, plus the lookups the per-perm scan needs in O(1). *)
   let staged =
@@ -207,51 +219,59 @@ let witness_pricer (chain : Ir.Chain.t) ~(box : C.box_axis list) =
               end)
             (Ir.Operator.all_refs op)
         in
-        let drops = Array.make nax false in
+        (* Observation 3, order-independently: an axis a stage drops as
+           producer-private is dead to every later stage, wherever it
+           sits in the order. *)
+        let dead_before = Array.copy dropped in
         List.iteri
           (fun ai (b : C.box_axis) ->
-            drops.(ai) <-
+            if
               Ir.Operator.uses_axis op b.C.axis
-              && Ir.Chain.axis_is_private chain b.C.axis)
+              && Ir.Chain.axis_is_private chain b.C.axis
+            then dropped.(ai) <- true)
           box;
-        (Array.of_list refs, drops))
+        (Array.of_list refs, dead_before))
       chain.Ir.Chain.stages
+    |> Array.of_list
   in
-  fun perm ->
-    match !err with
-    | Some reason -> Error reason
-    | None ->
-        (* Innermost-first, as the reuse walk wants it. *)
-        let ids =
-          Array.of_list
-            (List.rev_map (fun l -> Hashtbl.find axis_id l) perm)
-        in
-        let np = Array.length ids in
-        let alive = Array.make np true in
-        let lb = ref 0.0 in
-        List.iter
-          (fun (refs, (drops : bool array)) ->
-            Array.iter
-              (fun pr ->
-                let dm = ref pr.pr_base in
-                let keep_reuse = ref true in
-                for p = 0 to np - 1 do
-                  if alive.(p) then begin
-                    let a = ids.(p) in
-                    if pr.pr_op_uses.(a) then begin
-                      if pr.pr_breaks.(a) then keep_reuse := false;
-                      if (not !keep_reuse) && pr.pr_priced.(a) then
-                        dm := !dm *. pr.pr_ratio.(a)
-                    end
-                  end
-                done;
-                lb := !lb +. !dm)
-              refs;
-            for p = 0 to np - 1 do
-              if alive.(p) && drops.(ids.(p)) then alive.(p) <- false
-            done)
-          staged;
-        Ok (!lb *. (1.0 -. 1e-9))
+  (* [ids]: the order as interned axis ids, innermost first. *)
+  let price_ids ids =
+    let np = Array.length ids in
+    let lb = ref 0.0 in
+    for s = 0 to Array.length staged - 1 do
+      let refs, dead = staged.(s) in
+      for k = 0 to Array.length refs - 1 do
+        let pr = refs.(k) in
+        let dm = ref pr.pr_base in
+        let keep_reuse = ref true in
+        for p = 0 to np - 1 do
+          let a = ids.(p) in
+          if (not dead.(a)) && pr.pr_op_uses.(a) then begin
+            if pr.pr_breaks.(a) then keep_reuse := false;
+            if (not !keep_reuse) && pr.pr_priced.(a) then
+              dm := !dm *. pr.pr_ratio.(a)
+          end
+        done;
+        lb := !lb +. !dm
+      done
+    done;
+    Ok (!lb *. (1.0 -. 1e-9))
+  in
+  {
+    by_ids =
+      (fun ids ->
+        match !err with Some reason -> Error reason | None -> price_ids ids);
+    by_perm =
+      (fun perm ->
+        match !err with
+        | Some reason -> Error reason
+        | None ->
+            price_ids
+              (Array.of_list
+                 (List.rev_map (fun l -> Hashtbl.find axis_id l) perm)));
+  }
+
+let witness_pricer chain ~box = (stage_witness chain ~box).by_perm
 
 let witness_lower_bound (chain : Ir.Chain.t) ~perm ~(box : C.box_axis list) =
   witness_pricer chain ~box perm
@@ -295,11 +315,6 @@ let expected_box chain ~(parent : Planner.plan option) =
       else { C.axis = a.name; bound = 1; fixed = true })
     chain.Ir.Chain.axes
 
-let min_corner_bindings (box : C.box_axis list) =
-  List.map
-    (fun (b : C.box_axis) -> (b.C.axis, if b.C.fixed then b.C.bound else 1))
-    box
-
 let tiling_in_range chain bindings =
   let ok_axis (axis, size) =
     match Ir.Axis.find_opt chain.Ir.Chain.axes axis with
@@ -311,17 +326,46 @@ let tiling_in_range chain bindings =
   in
   List.find_map ok_axis bindings
 
-(* [eval_cache] memoizes one compiled evaluator per candidate order,
-   shared across a unit's level certificates (the levels enumerate the
-   same order space, so the outermost level pays the compiles and the
-   inner levels ride free).  It is indexed by enumeration position —
-   slot [i] is only filled from, and only served to, entries whose
-   order equals [candidates]'s [i]-th element, so a shuffled (tampered)
-   certificate can never borrow another order's evaluator; mismatched
-   entries fall back to a fresh one-shot compile on the error path.  It
-   is filled serially before the per-entry fan-out and only read inside
-   it, so pooled lanes share it safely. *)
-let check_certificate ?pool ~eval_cache ~ev_template chain ~unit_name ~part
+let rec perm_equal a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> String.equal x y && perm_equal xs ys
+  | _ -> false
+
+(* The unit's pricing context: the [Movement.template] every Solved and
+   Infeasible entry is priced from, plus each candidate order's axis
+   ids (innermost first), interned once per unit and shared by its
+   level certificates — the levels enumerate the same order space, and
+   Solved, Infeasible and Pruned entries alike are priced from the ids.
+   [check_certificate] forces it serially, before its pooled per-entry
+   fan-out, so lanes only ever read it. *)
+type pricing = {
+  tpl : Movement.template;
+  cand_perms : string list array;
+  cand_ids : int array option array;
+}
+
+(* An order's axis ids, or [None] when it is not a permutation of the
+   fused axes (distinct known fused axes of the right count). *)
+let intern tpl perm =
+  match Movement.order_ids tpl ~perm with
+  | ids -> Some ids
+  | exception Invalid_argument _ -> None
+
+let pricing_of chain =
+  let tpl = Movement.compile_template chain in
+  let cand_perms = Array.of_list (Analytical.Permutations.candidates chain) in
+  { tpl; cand_perms; cand_ids = Array.map (intern tpl) cand_perms }
+
+(* Per-entry re-checks fan out over the pool in chunks: one task per
+   entry would pay the pool's hand-out cost per candidate order. *)
+let entries_per_task = 32
+
+(* One task's scratch for template pricing — the decoded tile vector,
+   its trip counts and the DV slot — so entries allocate none of it. *)
+type lane = { tiles : int array; trips : int array; out : Movement.cell }
+
+let check_certificate ?pool ~pricing chain ~unit_name ~part
     ~(parent : Planner.plan option) (plan : Planner.plan) (cert : C.t) =
   let l ?(sub = "") () =
     Diagnostic.loc ~part:(if sub = "" then part else part ^ "/" ^ sub)
@@ -376,9 +420,9 @@ let check_certificate ?pool ~eval_cache ~ev_template chain ~unit_name ~part
   in
   (* One pricer serves the applicability probe and every pruned entry:
      its perm-independent stage runs once per certificate. *)
-  let price = witness_pricer chain ~box:cert.C.box in
+  let witness = stage_witness chain ~box:cert.C.box in
   let witness_applicability =
-    if perm_ok then price cert.C.winner_perm
+    if perm_ok then witness.by_perm cert.C.winner_perm
     else Error "winner order is malformed"
   in
   (match witness_applicability with
@@ -437,13 +481,21 @@ let check_certificate ?pool ~eval_cache ~ev_template chain ~unit_name ~part
        err ~code:"CHIM037" "certified winner overflows its budget: MU %d > %d"
          fresh.Movement.mu_bytes cert.C.capacity_bytes);
   (* -- coverage of the candidate order space (CHIM040) -------------- *)
-  let candidates = Analytical.Permutations.candidates chain in
-  let entry_perms = List.map (fun (e : C.entry) -> e.C.perm) cert.C.entries in
-  if entry_perms <> candidates then
+  let { tpl; cand_perms; cand_ids } = Lazy.force pricing in
+  let entries = Array.of_list cert.C.entries in
+  let n_entries = Array.length entries in
+  let n_cands = Array.length cand_perms in
+  (* [matches.(i)]: entry [i]'s order is the [i]-th candidate's. *)
+  let matches =
+    Array.mapi
+      (fun i (e : C.entry) -> i < n_cands && perm_equal e.C.perm cand_perms.(i))
+      entries
+  in
+  if n_entries <> n_cands || not (Array.for_all Fun.id matches) then
     err ~code:"CHIM040"
       "certificate covers %d order(s) but the candidate space enumerates %d \
        (or the enumeration order differs, which breaks the tie-break)"
-      (List.length entry_perms) (List.length candidates);
+      n_entries n_cands;
   (match C.entries_won cert with
   | 1 ->
       List.iter
@@ -467,124 +519,93 @@ let check_certificate ?pool ~eval_cache ~ev_template chain ~unit_name ~part
     go 0 cert.C.entries
   in
   (if box_ok && perm_ok then
-     let min_corner = min_corner_bindings cert.C.box in
-     (* Re-priced tilings go straight to [Movement.eval_array]: one
-        axis-index table per certificate turns each entry's bindings
-        into the evaluator's tile vector without building a [Tiling.t]
-        (the [rebind]-then-[eval] phrasing paid two axis walks per
-        entry).  Safe because every eval below runs behind
-        [tiling_problem], which already enforces [1, extent]. *)
-     let n_axes = List.length chain.Ir.Chain.axes in
-     let axis_idx = Hashtbl.create (2 * n_axes) in
-     List.iteri
-       (fun i (a : Ir.Axis.t) -> Hashtbl.replace axis_idx a.Ir.Axis.name i)
-       chain.Ir.Chain.axes;
-     let tiles_of bindings =
-       let tiles = Array.make n_axes 1 in
-       (* Reversed so a duplicated axis keeps its first binding,
-          matching [Tiling.rebind]. *)
-       List.iter
-         (fun (axis, size) ->
-           match Hashtbl.find_opt axis_idx axis with
-           | Some i -> tiles.(i) <- size
-           | None -> ())
-         (List.rev bindings);
-       tiles
+     (* Axis-indexed tables shared (read-only) by every entry's check:
+        the per-entry decode below runs once per candidate order.  The
+        box lists every chain axis in chain order ([box_ok]), so one
+        index serves extents, bounds and the template's tile vector. *)
+     let axis_names =
+       Array.of_list
+         (List.map (fun (a : Ir.Axis.t) -> a.Ir.Axis.name) chain.Ir.Chain.axes)
+     in
+     let n_axes = Array.length axis_names in
+     let extents =
+       Array.of_list
+         (List.map
+            (fun (a : Ir.Axis.t) -> a.Ir.Axis.extent)
+            chain.Ir.Chain.axes)
+     in
+     let bounds =
+       Array.of_list (List.map (fun (b : C.box_axis) -> b.C.bound) cert.C.box)
+     in
+     (* Recorded tilings list their axes in chain order
+        ([Tiling.bindings]), so the [k]-th binding's axis is tried at
+        index [k] first — one comparison per binding on a genuine
+        certificate, whose strings (unmarshalled from a plan cache) are
+        never physically the chain's. *)
+     let axis_index ~hint name =
+       if
+         hint < n_axes
+         && (axis_names.(hint) == name || String.equal axis_names.(hint) name)
+       then hint
+       else
+         let rec go i =
+           if i >= n_axes then -1
+           else if axis_names.(i) == name || String.equal axis_names.(i) name
+           then i
+           else go (i + 1)
+         in
+         go 0
      in
      (* The minimum corner is entry-independent — price its tile vector
         once, not once per infeasible order. *)
-     let min_corner_tiles = tiles_of min_corner in
-     (* Axis-keyed tables shared (read-only) by every entry's check:
-        the per-entry range and box walks below run once per candidate
-        order, so list scans here would be quadratic in practice. *)
-     let extent_tbl = Hashtbl.create 16 in
-     List.iter
-       (fun (a : Ir.Axis.t) ->
-         Hashtbl.replace extent_tbl a.Ir.Axis.name a.Ir.Axis.extent)
-       chain.Ir.Chain.axes;
-     let bound_tbl = Hashtbl.create 16 in
-     List.iter
-       (fun (b : C.box_axis) -> Hashtbl.replace bound_tbl b.C.axis b.C.bound)
-       cert.C.box;
+     let min_corner_tiles =
+       Array.of_list
+         (List.map
+            (fun (b : C.box_axis) -> if b.C.fixed then b.C.bound else 1)
+            cert.C.box)
+     in
+     (* A Solved entry's tiling decoded in one pass: one axis lookup per
+        binding, the [1, extent] and box tests on the spot, the first
+        binding of a duplicated axis kept (as [Tiling.rebind] does) and
+        unmentioned axes at tile 1 — into [tiles].  [false] on any
+        problem; the caller then re-derives the verdict through
+        [tiling_problem] so the diagnostics are worded exactly as
+        before. *)
+     let decode tiles bindings =
+       Array.fill tiles 0 n_axes 0;
+       let rec go k = function
+         | [] ->
+             for i = 0 to n_axes - 1 do
+               if tiles.(i) = 0 then tiles.(i) <- 1
+             done;
+             true
+         | (axis, size) :: rest ->
+             let i = axis_index ~hint:k axis in
+             if i < 0 || size < 1 || size > extents.(i) || size > bounds.(i)
+             then false
+             else begin
+               if tiles.(i) = 0 then tiles.(i) <- size;
+               go (k + 1) rest
+             end
+       in
+       go 0 bindings
+     in
      (* Same verdicts as [tiling_in_range]: every binding names a chain
         axis and sits in [1, extent]. *)
      let tiling_problem bindings =
        List.find_map
          (fun (axis, size) ->
-           match Hashtbl.find_opt extent_tbl axis with
-           | None -> Some (spf "unknown axis %s" axis)
-           | Some e when size < 1 || size > e ->
-               Some (spf "tile %s=%d outside [1, %d]" axis size e)
-           | Some _ -> None)
+           let i = axis_index ~hint:0 axis in
+           if i < 0 then Some (spf "unknown axis %s" axis)
+           else if size < 1 || size > extents.(i) then
+             Some (spf "tile %s=%d outside [1, %d]" axis size extents.(i))
+           else None)
          bindings
-     in
-     (* The box lists every chain axis and unmentioned axes default to
-        tile 1, so scanning the bindings against the bounds is the same
-        predicate as scanning the box against the bindings. *)
-     let outside_box bindings =
-       List.exists
-         (fun (axis, size) ->
-           match Hashtbl.find_opt bound_tbl axis with
-           | Some b -> size > b
-           | None -> false)
-         bindings
-     in
-     (* Permutation-ness without sorting or polymorphic compares — the
-        check runs once per candidate order, so the sort-based phrasing
-        was a measurable slice of the whole certificate pass. *)
-     let n_fused = List.length fused in
-     let fused_id = Hashtbl.create (2 * n_fused) in
-     List.iteri (fun i a -> Hashtbl.replace fused_id a i) fused;
-     let is_perm perm =
-       let seen = Array.make n_fused false in
-       let rec go n = function
-         | [] -> n = n_fused
-         | l :: tl -> (
-             match Hashtbl.find_opt fused_id l with
-             | Some i when not seen.(i) ->
-                 seen.(i) <- true;
-                 go (n + 1) tl
-             | _ -> false)
-       in
-       go 0 perm
-     in
-     (* Compile the evaluators the entry checks will read, before the
-        fan-out (see [eval_cache]'s comment).  Only entries sitting at
-        their candidate position compile into the cache; malformed or
-        misplaced ones error out before any re-analysis (or pay a
-        one-shot compile on the error path below). *)
-     let cand_arr = Array.of_list candidates in
-     List.iteri
-       (fun i (e : C.entry) ->
-         match e.C.outcome with
-         | C.Solved _ | C.Infeasible ->
-             if
-               i < Array.length cand_arr
-               && Option.is_none eval_cache.(i)
-               && e.C.perm = cand_arr.(i)
-             then
-               eval_cache.(i) <-
-                 Some
-                   (Movement.compile_with (Lazy.force ev_template)
-                      ~perm:e.C.perm)
-         | _ -> ())
-       cert.C.entries;
-     (* [ev_template] is forced (serially, above) whenever the cache
-        can serve an entry; the fallback recompiles from the chain so a
-        pooled lane never races a [Lazy.force]. *)
-     let evaluator_for i (e : C.entry) =
-       match
-         if i < Array.length cand_arr && e.C.perm = cand_arr.(i) then
-           eval_cache.(i)
-         else None
-       with
-       | Some ev -> ev
-       | None -> Movement.compile chain ~perm:e.C.perm
      in
      (* Each entry's re-check is a pure function of the chain and the
         certificate, so the fan-out below is free to run them on any
         lane; diagnostics are reassembled in entry order either way. *)
-     let check_entry i (e : C.entry) =
+     let check_entry lane i (e : C.entry) =
        let local = ref [] in
        let err ~code fmt =
          (* The label is priced only on error: a clean entry — the
@@ -595,93 +616,113 @@ let check_certificate ?pool ~eval_cache ~ev_template chain ~unit_name ~part
              local := Diagnostic.error ~code (l ~sub ()) m :: !local)
            fmt
        in
-       let entry_perm_ok = is_perm e.C.perm in
-       (if not entry_perm_ok then
-          err ~code:"CHIM042"
-            "entry order is not a permutation of the fused axes"
-        else
-          match e.C.outcome with
-          | C.Won _ -> ()
-          | C.Solved { dv_bytes; tiling } -> (
-              match tiling_problem tiling with
-              | Some reason ->
-                  err ~code:"CHIM042" "recorded tiling is malformed: %s"
-                    reason
-              | None ->
-                  if outside_box tiling then
-                    err ~code:"CHIM042"
-                      "recorded tiling falls outside the search box"
-                  else begin
-                    let ev = evaluator_for i e in
-                    let fresh_dv, fresh_mu =
-                      Movement.eval_array ev (tiles_of tiling)
-                    in
-                    if not (rel_close fresh_dv dv_bytes) then
-                      err ~code:"CHIM038"
-                        "recorded DV %.6e disagrees with re-analysis %.6e"
-                        dv_bytes fresh_dv;
-                    if fresh_mu > cert.C.capacity_bytes then
-                      err ~code:"CHIM038"
-                        "recorded solution overflows the budget: MU %d > %d"
-                        fresh_mu cert.C.capacity_bytes;
-                    if
-                      fresh_dv < winner_dv
-                      && not (rel_close fresh_dv winner_dv)
-                    then
-                      err ~code:"CHIM041"
-                        "solved order beats the certified winner: %.6e < %.6e"
-                        fresh_dv winner_dv
-                    else if rel_close fresh_dv winner_dv && i < winner_index
-                    then
-                      err ~code:"CHIM041"
-                        "solved order ties the winner but enumerates earlier \
-                         — the tie-break selects it"
-                  end)
-          | C.Infeasible ->
-              let ev = evaluator_for i e in
-              let _, fresh_mu = Movement.eval_array ev min_corner_tiles in
-              if fresh_mu <= cert.C.capacity_bytes then
-                err ~code:"CHIM038"
-                  "claimed infeasible, but the box's minimum corner fits: \
-                   MU %d <= %d"
-                  fresh_mu cert.C.capacity_bytes
-          | C.Pruned { lb_dv_bytes } -> (
-              match price e.C.perm with
-              | Error reason ->
-                  err ~code:"CHIM039"
-                    "no witness theory applies to this order's box (%s)"
-                    reason
-              | Ok lb ->
-                  if not (loosely_close lb lb_dv_bytes) then
-                    err ~code:"CHIM039"
-                      "claimed witness %.6e disagrees with re-pricing %.6e"
-                      lb_dv_bytes lb;
-                  (* Exclusion holds when the witness strictly clears
-                     the winner's DV — or exactly ties it from a later
-                     enumeration position: every DV this order can
-                     achieve is then at least the winner's, and the
-                     earliest-minimum tie-break keeps the winner. *)
-                  if lb > winner_dv then ()
-                  else if loosely_close lb winner_dv && i > winner_index
-                  then ()
-                  else
-                    err ~code:"CHIM039"
-                      "re-priced witness %.6e neither strictly clears the \
-                       winner's DV %.6e nor ties it from a later \
-                       enumeration position — the order cannot be excluded"
-                      lb winner_dv));
+       (* An entry borrows its candidate's interned ids — and the
+          permutation verdict they carry — only when its order is that
+          candidate's, so a shuffled (tampered) certificate is always
+          checked and priced under its own order. *)
+       (match if matches.(i) then cand_ids.(i) else intern tpl e.C.perm with
+       | None ->
+           err ~code:"CHIM042"
+             "entry order is not a permutation of the fused axes"
+       | Some ids -> (
+           match e.C.outcome with
+           | C.Won _ -> ()
+           | C.Solved { dv_bytes; tiling } ->
+               if not (decode lane.tiles tiling) then (
+                 match tiling_problem tiling with
+                 | Some reason ->
+                     err ~code:"CHIM042" "recorded tiling is malformed: %s"
+                       reason
+                 | None ->
+                     err ~code:"CHIM042"
+                       "recorded tiling falls outside the search box")
+               else begin
+                 let fresh_mu =
+                   Movement.eval_order tpl ~order:ids ~trips:lane.trips
+                     lane.tiles lane.out
+                 in
+                 let fresh_dv = lane.out.Movement.dv in
+                 if not (rel_close fresh_dv dv_bytes) then
+                   err ~code:"CHIM038"
+                     "recorded DV %.6e disagrees with re-analysis %.6e"
+                     dv_bytes fresh_dv;
+                 if fresh_mu > cert.C.capacity_bytes then
+                   err ~code:"CHIM038"
+                     "recorded solution overflows the budget: MU %d > %d"
+                     fresh_mu cert.C.capacity_bytes;
+                 if fresh_dv < winner_dv && not (rel_close fresh_dv winner_dv)
+                 then
+                   err ~code:"CHIM041"
+                     "solved order beats the certified winner: %.6e < %.6e"
+                     fresh_dv winner_dv
+                 else if rel_close fresh_dv winner_dv && i < winner_index then
+                   err ~code:"CHIM041"
+                     "solved order ties the winner but enumerates earlier — \
+                      the tie-break selects it"
+               end
+           | C.Infeasible ->
+               let fresh_mu =
+                 Movement.eval_order tpl ~order:ids ~trips:lane.trips
+                   min_corner_tiles lane.out
+               in
+               if fresh_mu <= cert.C.capacity_bytes then
+                 err ~code:"CHIM038"
+                   "claimed infeasible, but the box's minimum corner fits: \
+                    MU %d <= %d"
+                   fresh_mu cert.C.capacity_bytes
+           | C.Pruned { lb_dv_bytes } -> (
+               match witness.by_ids ids with
+               | Error reason ->
+                   err ~code:"CHIM039"
+                     "no witness theory applies to this order's box (%s)"
+                     reason
+               | Ok lb ->
+                   if not (loosely_close lb lb_dv_bytes) then
+                     err ~code:"CHIM039"
+                       "claimed witness %.6e disagrees with re-pricing %.6e"
+                       lb_dv_bytes lb;
+                   (* Exclusion holds when the witness strictly clears
+                      the winner's DV — or exactly ties it from a later
+                      enumeration position: every DV this order can
+                      achieve is then at least the winner's, and the
+                      earliest-minimum tie-break keeps the winner. *)
+                   if lb > winner_dv then ()
+                   else if loosely_close lb winner_dv && i > winner_index
+                   then ()
+                   else
+                     err ~code:"CHIM039"
+                       "re-priced witness %.6e neither strictly clears the \
+                        winner's DV %.6e nor ties it from a later \
+                        enumeration position — the order cannot be \
+                        excluded"
+                       lb winner_dv)));
        List.rev !local
      in
-     let entries = Array.of_list cert.C.entries in
-     let per_entry =
-       match pool with
-       | Some pool when Array.length entries > 1 ->
-           Util.Pool.run pool
-             (fun i -> check_entry i entries.(i))
-             (Array.length entries)
-       | _ -> Array.mapi check_entry entries
+     let check_range lo hi =
+       let lane =
+         {
+           tiles = Array.make n_axes 0;
+           trips = Array.make n_axes 0;
+           out = { Movement.dv = 0.0 };
+         }
+       in
+       let rec go i acc =
+         if i < lo then acc
+         else go (i - 1) (check_entry lane i entries.(i) @ acc)
+       in
+       go (hi - 1) []
      in
-     Array.iter (List.iter add) per_entry);
+     let per_task =
+       match pool with
+       | Some pool when n_entries > entries_per_task ->
+           Util.Pool.run pool
+             (fun t ->
+               check_range (t * entries_per_task)
+                 (min n_entries ((t + 1) * entries_per_task)))
+             ((n_entries + entries_per_task - 1) / entries_per_task)
+       | _ -> [| check_range 0 n_entries |]
+     in
+     Array.iter (List.iter add) per_task);
   if cert.C.conditional then
     add
       (Diagnostic.warningf ~code:conditional_code (l ())
@@ -697,12 +738,7 @@ let check_certificate ?pool ~eval_cache ~ev_template chain ~unit_name ~part
 let check_level_plans ?(require_certificates = false) ?pool chain
     (lps : Planner.level_plan list) =
   let unit_name = chain.Ir.Chain.name in
-  let eval_cache =
-    Array.make (List.length (Analytical.Permutations.candidates chain)) None
-  in
-  (* The perm-independent half of the compiles above, paid once per
-     unit; forced only if some certificate has entries to re-price. *)
-  let ev_template = lazy (Movement.compile_template chain) in
+  let pricing = lazy (pricing_of chain) in
   (* level_plans is innermost-first; each level's search box nests
      inside the next-outer plan's tiles. *)
   let outer_first = List.rev lps in
@@ -714,8 +750,8 @@ let check_level_plans ?(require_certificates = false) ?pool chain
         let ds =
           match plan.Planner.certificate with
           | Some cert ->
-              check_certificate ?pool ~eval_cache ~ev_template chain
-                ~unit_name ~part ~parent plan cert
+              check_certificate ?pool ~pricing chain ~unit_name ~part
+                ~parent plan cert
           | None ->
               if require_certificates then
                 [

@@ -4,11 +4,12 @@
 
     The checker never runs a descent: the winner is re-derived through
     the reference {!Analytical.Movement.analyze}, solved losers are
-    re-priced through per-order compiled evaluators
-    (property-tested bit-identical to [analyze], and cached across a
-    unit's levels — the entry volume dominates the pass's cost),
-    infeasibility claims are re-checked at the search box's minimum
-    corner (MU monotonicity), and pruned-order witnesses are re-priced
+    re-priced straight off the unit's shared movement template
+    ({!Analytical.Movement.eval_order}: property-tested bit-identical
+    to [analyze], no per-order compile, nothing allocated per entry —
+    the entry volume dominates the pass's cost), infeasibility claims
+    are re-checked the same way at the search box's minimum corner (MU
+    monotonicity), and pruned-order witnesses are re-priced
     by {!witness_lower_bound} — a from-scratch walk of the IR that
     shares no code with [Movement.dv_lower_bound].  Coverage against
     {!Analytical.Permutations.candidates} (in enumeration order, which
@@ -26,10 +27,11 @@ val check_level_plans :
     which case they draw a CHIM044 warning — the lenient default keeps
     strict verification meaningful over heuristic-rung and legacy
     traffic that never claimed optimality.  [pool] fans the per-entry
-    re-checks (one reference re-analysis or witness re-pricing per
-    candidate order — the pass's dominant cost) across its lanes; each
-    entry's check is independent and diagnostics come back in entry
-    order, so pooled and serial runs report identically. *)
+    re-checks (one template pricing or witness re-pricing per
+    candidate order — the pass's dominant cost) across its lanes in
+    chunks; each entry's check is independent and diagnostics come
+    back in entry order, so pooled and serial runs report
+    identically. *)
 
 val witness_pricer :
   Ir.Chain.t -> box:Analytical.Certificate.box_axis list ->

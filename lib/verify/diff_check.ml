@@ -8,6 +8,21 @@ type sim_result = {
 let stage_loops perm (op : Ir.Operator.t) =
   List.filter (Ir.Operator.uses_axis op) perm
 
+(* One tensor reference of a stage, frozen for the walk.  Positions
+   index the stage's loop nest (outermost first). *)
+type walk_ref = {
+  w_io : bool;
+  w_df : int;  (* full-tile footprint: the model's charge per reload *)
+  w_inner : int;
+      (* innermost position the access uses whose loop iterates
+         (trips > 1), or -1 *)
+  w_ragged : int array;  (* used positions whose last tile is ragged *)
+  w_dtype_bytes : int;
+  w_dims : (int * (int * int * int) array) array;
+      (* per dimension: (dim bound, [(position or -1, fixed tile,
+         coeff)]) — a term on a non-loop axis keeps its tiling size *)
+}
+
 let simulate ?(max_blocks = 200_000) (chain : Ir.Chain.t) ~perm ~tiling =
   Analytical.Movement.validate_perm chain perm;
   let total_blocks =
@@ -37,75 +52,128 @@ let simulate ?(max_blocks = 200_000) (chain : Ir.Chain.t) ~perm ~tiling =
            observation 3 is implied by the restriction.) *)
         let loops = Array.of_list (stage_loops perm op) in
         let n = Array.length loops in
-        let trips =
-          Array.map (Analytical.Tiling.trip_count tiling) loops
-        in
+        let trips = Array.map (Analytical.Tiling.trip_count tiling) loops in
         let tiles = Array.map (Analytical.Tiling.get tiling) loops in
-        let extents = Array.map (Analytical.Tiling.extent_of tiling) loops in
-        let idx = Array.make n 0 in
-        (* Boundary-clipped tile size of an axis at the current block. *)
-        let eff_tile axis =
+        (* Every block but a loop's last sees its full tile; the last
+           one is clipped to what remains of the extent. *)
+        let last =
+          Array.mapi
+            (fun i axis ->
+              min tiles.(i)
+                (Analytical.Tiling.extent_of tiling axis
+                - ((trips.(i) - 1) * tiles.(i))))
+            loops
+        in
+        let pos_of axis =
           let rec find i =
-            if i >= n then Analytical.Tiling.get tiling axis
-            else if loops.(i) = axis then
-              min tiles.(i) (extents.(i) - (idx.(i) * tiles.(i)))
+            if i >= n then -1
+            else if String.equal loops.(i) axis then i
             else find (i + 1)
           in
           find 0
         in
         let refs =
-          List.map
-            (fun (r : Ir.Operator.tensor_ref) ->
-              let used =
-                Array.init n (fun i ->
-                    Ir.Access.uses_axis r.Ir.Operator.access loops.(i))
-              in
-              let df =
-                Ir.Operator.tile_footprint_bytes r
-                  ~tile_of:(Analytical.Tiling.tile_of tiling)
-              in
-              (r, used, df, List.mem r.Ir.Operator.tensor io, ref None))
-            (Ir.Operator.all_refs op)
+          Array.of_list
+            (List.map
+               (fun (r : Ir.Operator.tensor_ref) ->
+                 let used i =
+                   Ir.Access.uses_axis r.Ir.Operator.access loops.(i)
+                 in
+                 let inner = ref (-1) in
+                 let ragged = ref [] in
+                 for i = 0 to n - 1 do
+                   if used i && trips.(i) > 1 then inner := i;
+                   if used i && last.(i) <> tiles.(i) then
+                     ragged := i :: !ragged
+                 done;
+                 {
+                   w_io = List.mem r.Ir.Operator.tensor io;
+                   w_df =
+                     Ir.Operator.tile_footprint_bytes r
+                       ~tile_of:(Analytical.Tiling.tile_of tiling);
+                   w_inner = !inner;
+                   w_ragged = Array.of_list !ragged;
+                   w_dtype_bytes = Tensor.Dtype.bytes r.Ir.Operator.dtype;
+                   w_dims =
+                     Array.of_list
+                       (List.map2
+                          (fun (d : Ir.Access.dim) bound ->
+                            ( bound,
+                              Array.of_list
+                                (List.map
+                                   (fun (t : Ir.Access.term) ->
+                                     ( pos_of t.Ir.Access.axis,
+                                       Analytical.Tiling.get tiling
+                                         t.Ir.Access.axis,
+                                       t.Ir.Access.coeff ))
+                                   d.Ir.Access.terms) ))
+                          r.Ir.Operator.access r.Ir.Operator.dims);
+                 })
+               (Ir.Operator.all_refs op))
         in
+        let nrefs = Array.length refs in
+        let idx = Array.make n 0 in
+        (* A reference's clipped footprint differs from [w_df] only while
+           a ragged last tile it reads is active. *)
+        let edge_fp r =
+          let ragged = ref false in
+          for j = 0 to Array.length r.w_ragged - 1 do
+            let i = r.w_ragged.(j) in
+            if idx.(i) = trips.(i) - 1 then ragged := true
+          done;
+          if not !ragged then r.w_df
+          else begin
+            let elems = ref 1 in
+            for d = 0 to Array.length r.w_dims - 1 do
+              let bound, terms = r.w_dims.(d) in
+              let span = ref 0 in
+              for t = 0 to Array.length terms - 1 do
+                let pos, fixed, coeff = terms.(t) in
+                let tile =
+                  if pos < 0 then fixed
+                  else if idx.(pos) = trips.(pos) - 1 then last.(pos)
+                  else tiles.(pos)
+                in
+                span := !span + (coeff * (tile - 1))
+              done;
+              let span = !span + 1 in
+              elems := !elems * if span < bound then span else bound
+            done;
+            !elems * r.w_dtype_bytes
+          end
+        in
+        (* The data tile a block touches is determined by the block
+           indices of the positions its access uses.  An advance that
+           carries into position [c] changes [c] and resets every
+           iterating position inside it, so a reference reloads exactly
+           when [c] is at or outside its innermost iterating used
+           position.  The first block ([c = -1]) loads everything. *)
+        let carry = ref (-1) in
         let running = ref true in
         while !running do
           incr blocks;
           let working_set = ref 0 in
-          List.iter
-            (fun ((r : Ir.Operator.tensor_ref), used, df, is_io, resident) ->
-              (* The data tile a block touches is determined by the block
-                 indices of the axes its access uses; a change means the
-                 previous tile cannot be reused. *)
-              let signature =
-                Array.init n (fun i -> if used.(i) then idx.(i) else 0)
-              in
-              let reload =
-                match !resident with None -> true | Some s -> s <> signature
-              in
-              let edge_fp =
-                Ir.Operator.tile_footprint_bytes r ~tile_of:eff_tile
-              in
-              working_set := !working_set + edge_fp;
-              if reload then begin
-                resident := Some signature;
-                if is_io then begin
-                  model_dv := !model_dv +. float_of_int df;
-                  edge_dv := !edge_dv +. float_of_int edge_fp
-                end
-              end)
-            refs;
-          mu := max !mu !working_set;
-          let rec advance i =
-            if i < 0 then running := false
-            else begin
-              idx.(i) <- idx.(i) + 1;
-              if idx.(i) >= trips.(i) then begin
-                idx.(i) <- 0;
-                advance (i - 1)
-              end
+          for k = 0 to nrefs - 1 do
+            let r = refs.(k) in
+            let fp = edge_fp r in
+            working_set := !working_set + fp;
+            if r.w_io && !carry <= r.w_inner then begin
+              model_dv := !model_dv +. float_of_int r.w_df;
+              edge_dv := !edge_dv +. float_of_int fp
             end
-          in
-          advance (n - 1)
+          done;
+          if !working_set > !mu then mu := !working_set;
+          (* Advance the odometer, innermost position first. *)
+          let i = ref (n - 1) in
+          while !i >= 0 && idx.(!i) + 1 >= trips.(!i) do
+            idx.(!i) <- 0;
+            decr i
+          done;
+          if !i < 0 then running := false
+          else begin
+            idx.(!i) <- idx.(!i) + 1;
+            carry := !i
+          end
         done)
       chain.Ir.Chain.stages;
     Some

@@ -28,7 +28,7 @@ let check_unit ?max_blocks ?dv_tolerance ?require_certificates ?pool
       (if Obs.Trace.enabled obs then
          [ ("chain", u.Chimera.Compiler.sub_chain.Ir.Chain.name) ]
        else [])
-  @@ fun _ ->
+  @@ fun obs ->
   let chain = u.Chimera.Compiler.sub_chain in
   let kernel = u.Chimera.Compiler.kernel in
   let ir = Ir_check.check chain in
@@ -58,6 +58,7 @@ let check_unit ?max_blocks ?dv_tolerance ?require_certificates ?pool
               let tiling = kernel.Codegen.Kernel.tiling in
               (perm, tiling, Analytical.Movement.analyze chain ~perm ~tiling)
         in
+        Obs.Trace.span obs "verify.diff" @@ fun _ ->
         Diff_check.check ?max_blocks ?dv_tolerance chain ~perm ~tiling
           ~movement
     in
@@ -66,6 +67,7 @@ let check_unit ?max_blocks ?dv_tolerance ?require_certificates ?pool
          passed the structural checks above is safe to re-derive. *)
       if not (Diagnostic.ok plan_ds) then []
       else
+        Obs.Trace.span obs "verify.cert" @@ fun _ ->
         Cert_check.check_level_plans ?require_certificates ?pool chain
           kernel.Codegen.Kernel.level_plans
     in

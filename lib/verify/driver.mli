@@ -35,4 +35,6 @@ val check_compiled :
   Chimera.Compiler.compiled ->
   Diagnostic.t list
 (** {!check_unit} over every unit of a compilation, in order.  [obs]
-    (default disabled) traces each unit as a ["verify.unit"] span. *)
+    (default disabled) traces each unit as a ["verify.unit"] span, with
+    its certificate and differential passes as ["verify.cert"] and
+    ["verify.diff"] children. *)

@@ -5,10 +5,12 @@ hold on every run.
 
 Usage: check_planner_perf.py BENCH_planner.json
            [--min-geomean 18] [--max-cert-pct 5] [--max-conv-ms 40]
+           [--max-verify-ms 5]
 
 BENCH_planner.json is the output of
 `bench/main.exe planner --json ...`: one record per workload x preset
-pair (ref/fast latencies, prune accounting, certificate-check cost)
+pair (ref/fast latencies, prune accounting, certificate-check cost,
+strict cache-hit verification cost)
 plus a summary record (geomeans, cert aggregate, calibration fits,
 allocation counters).
 
@@ -20,6 +22,8 @@ Asserts:
     budget; conv rows are the slow family);
   * the independent certificate check costs < --max-cert-pct of the
     aggregate cold-plan time it certifies;
+  * every row's full strict verification -- what a strict cache hit
+    pays -- stays under --max-verify-ms;
   * every GEMM row pruned at least one order -- GEMM boxes price to
     exact DV ties, so pruning there proves the tie-aware gate works;
   * the per-preset calibration fit never regresses the raw model
@@ -44,6 +48,7 @@ def main():
     ap.add_argument("--min-geomean", type=float, default=18.0)
     ap.add_argument("--max-cert-pct", type=float, default=5.0)
     ap.add_argument("--max-conv-ms", type=float, default=40.0)
+    ap.add_argument("--max-verify-ms", type=float, default=5.0)
     args = ap.parse_args()
 
     with open(args.bench_json) as f:
@@ -79,6 +84,20 @@ def main():
         fail(f"{len(slow_conv)} conv row(s) at or over {args.max_conv_ms:g} "
              f"ms (worst {worst[0]} at {worst[1]:.1f} ms)")
 
+    verify_max = summary.get("verify_hit_max_ms")
+    if verify_max is None:
+        fail("summary carries no verify_hit_max_ms")
+    missing = [r["name"] for r in rows if "verify_hit_ms" not in r]
+    if missing:
+        fail("row(s) without verify_hit_ms: " + ", ".join(missing))
+    slow_verify = [(r["name"], r["verify_hit_ms"]) for r in rows
+                   if r["verify_hit_ms"] >= args.max_verify_ms]
+    if slow_verify:
+        worst = max(slow_verify, key=lambda nv: nv[1])
+        fail(f"{len(slow_verify)} row(s) verify a cache hit in "
+             f"{args.max_verify_ms:g} ms or more (worst {worst[0]} at "
+             f"{worst[1]:.2f} ms)")
+
     unpruned_gemm = [r["name"] for r in rows
                      if r.get("family") == "gemm"
                      and r.get("perms_pruned", 0) <= 0]
@@ -110,6 +129,7 @@ def main():
     conv_ms = [r["fast_ms"] for r in rows if r.get("family") == "conv"]
     print(f"check_planner_perf: OK: {len(rows)} rows, geomean {gm:.1f}x, "
           f"cert check {cert:.2f}%, worst conv {max(conv_ms):.1f} ms, "
+          f"worst cache-hit verify {verify_max:.2f} ms, "
           f"calibration error " + "; ".join(calib))
 
 

@@ -397,6 +397,144 @@ let tampers : (string * (Cert.t -> Cert.t) * string) list =
       "CHIM042" );
   ]
 
+(* Tampered Solved entries.  The checker decodes a recorded tiling in
+   one pass and prices it off the unit's shared template; every way a
+   tiling can be malformed — and a reordered entry list, which must
+   never let an entry borrow another order's pricing — must still draw
+   the exact diagnostics below. *)
+
+(* The first Solved entry's tiling rewritten by [f], which sees the
+   entry's bindings and the certificate's box. *)
+let retile f (c : Cert.t) =
+  let hit = ref false in
+  let entries =
+    List.map
+      (fun (e : Cert.entry) ->
+        match e.Cert.outcome with
+        | Cert.Solved { dv_bytes; tiling } when not !hit ->
+            hit := true;
+            let tiling = f c.Cert.box tiling in
+            { e with Cert.outcome = Cert.Solved { dv_bytes; tiling } }
+        | _ -> e)
+      c.Cert.entries
+  in
+  { c with Cert.entries = entries }
+
+(* The first box axis that varies with room to move inside its bound. *)
+let varying (box : Cert.box_axis list) =
+  List.find
+    (fun (b : Cert.box_axis) -> (not b.Cert.fixed) && b.Cert.bound > 1)
+    box
+
+let set_tile axis size t =
+  List.map (fun (a, v) -> if a = axis then (a, size) else (a, v)) t
+
+let solved_tampers : (string * (Cert.t -> Cert.t)) list =
+  [
+    ("an unknown axis", retile (fun _ t -> ("zz", 2) :: t));
+    ( "a leading duplicated binding",
+      retile (fun box t ->
+          let b = varying box in
+          let v = List.assoc b.Cert.axis t in
+          (b.Cert.axis, if v > 1 then v - 1 else v + 1) :: t) );
+    ( "a trailing duplicated binding",
+      retile (fun box t ->
+          let b = varying box in
+          let v = List.assoc b.Cert.axis t in
+          t @ [ (b.Cert.axis, if v > 1 then v - 1 else v + 1) ]) );
+    ("a zero tile", retile (fun box t -> set_tile (varying box).Cert.axis 0 t));
+    ( "a tile past its extent",
+      retile (fun box t ->
+          let axis = (varying box).Cert.axis in
+          set_tile axis (Ir.Chain.extent_of (figure2_chain ()) axis + 1) t) );
+    ( "a tile outside the box",
+      retile (fun box t ->
+          let extent = Ir.Chain.extent_of (figure2_chain ()) in
+          let b =
+            List.find
+              (fun (b : Cert.box_axis) ->
+                (not b.Cert.fixed) && b.Cert.bound < extent b.Cert.axis)
+              box
+          in
+          set_tile b.Cert.axis (b.Cert.bound + 1) t) );
+    ( "a shuffled entry order",
+      (* The first Solved and the first Pruned entry trade places: each
+         must still be checked under its own order. *)
+      fun c ->
+        let entries = Array.of_list c.Cert.entries in
+        let first pick =
+          let rec go i =
+            if pick entries.(i).Cert.outcome then i else go (i + 1)
+          in
+          go 0
+        in
+        let i = first (function Cert.Solved _ -> true | _ -> false) in
+        let j = first (function Cert.Pruned _ -> true | _ -> false) in
+        let e = entries.(i) in
+        entries.(i) <- entries.(j);
+        entries.(j) <- e;
+        { c with Cert.entries = Array.to_list entries } );
+  ]
+
+(* What each forgery above must report, word for word (a malformed
+   tiling's verdict is re-derived through the plain range and box
+   tests, so the single-pass decode can never reword one).  A trailing duplicate
+   is ignored — the first binding of an axis wins, as in
+   [Tiling.rebind]. *)
+let solved_tamper_expected =
+  [
+    ( "an unknown axis",
+      [
+        "CHIM042 error figure2/level L1/order blknm: recorded tiling is \
+         malformed: unknown axis zz";
+      ] );
+    ( "a leading duplicated binding",
+      [
+        "CHIM038 error figure2/level L1/order blknm: recorded DV \
+         1.690829e+07 disagrees with re-analysis 2.093875e+07";
+      ] );
+    ("a trailing duplicated binding", []);
+    ( "a zero tile",
+      [
+        "CHIM042 error figure2/level L1/order blknm: recorded tiling is \
+         malformed: tile m=0 outside [1, 512]";
+      ] );
+    ( "a tile past its extent",
+      [
+        "CHIM042 error figure2/level L1/order blknm: recorded tiling is \
+         malformed: tile m=513 outside [1, 512]";
+      ] );
+    ( "a tile outside the box",
+      [
+        "CHIM042 error figure2/level L1/order blknm: recorded tiling falls \
+         outside the search box";
+      ] );
+    ( "a shuffled entry order",
+      [
+        "CHIM040 error figure2/level L1: certificate covers 24 order(s) but \
+         the candidate space enumerates 24 (or the enumeration order \
+         differs, which breaks the tie-break)";
+        "CHIM039 error figure2/level L1/order bknml: re-priced witness \
+         2.621440e+05 neither strictly clears the winner's DV 2.621440e+05 \
+         nor ties it from a later enumeration position — the \
+         order cannot be excluded";
+      ] );
+  ]
+
+let solved_tamper_tests =
+  List.map
+    (fun (name, tamper) ->
+      case (Printf.sprintf "%s reports its established diagnostics" name)
+        (fun () ->
+          let _, _, inner = Lazy.force nested in
+          let got =
+            List.map D.to_string
+              (recheck_nested ~inner:(with_cert inner tamper) ())
+          in
+          Alcotest.(check (list string))
+            name (List.assoc name solved_tamper_expected) got))
+    solved_tampers
+
 let apply_tamper (name, tamper, code) =
   let _, _, inner = Lazy.force nested in
   let ds = recheck_nested ~inner:(with_cert inner tamper) () in
@@ -847,7 +985,7 @@ let suites =
   [
     ("certify.emission", emission_tests);
     ("certify.gapped_bound", gapped_bound_tests);
-    ("certify.tampering", tamper_tests);
+    ("certify.tampering", tamper_tests @ solved_tamper_tests);
     ("certify.service", service_tests);
     ("certify.migration", migration_tests);
   ]

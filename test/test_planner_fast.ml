@@ -88,6 +88,96 @@ let prop_eval_array_matches_eval =
       = Analytical.Movement.eval ev ~tiling)
 
 (* ----------------------------------------------------------------- *)
+(* Template pricing = eval_array = analyze, bit for bit               *)
+(* ----------------------------------------------------------------- *)
+
+(* The certificate checker prices every Solved and Infeasible entry
+   straight off the shared template ([eval_order]) instead of compiling
+   a per-order evaluator; its verdicts stay those of the compiled path
+   only if the floats are identical ([=]), with or without charged
+   intermediates. *)
+let prop_eval_order_matches name ?charge_intermediates arb =
+  QCheck.Test.make
+    ~name:("template pricing = eval_array = analyze on random " ^ name)
+    ~count:300 arb
+    (fun (chain, seed) ->
+      let prng = Util.Prng.create ~seed in
+      let perm = Test_properties.random_perm_of prng chain in
+      let tiling = Test_properties.random_tiling_of prng chain in
+      let tpl =
+        Analytical.Movement.compile_template ?charge_intermediates chain
+      in
+      let ev = Analytical.Movement.compile_with tpl ~perm in
+      let tiles =
+        Array.map (Analytical.Tiling.get tiling)
+          (Analytical.Movement.axis_names ev)
+      in
+      let out = { Analytical.Movement.dv = nan } in
+      (* Stale scratch must not leak into the result. *)
+      let trips = Array.make (Array.length tiles) 7 in
+      let mu =
+        Analytical.Movement.eval_order tpl
+          ~order:(Analytical.Movement.order_ids tpl ~perm)
+          ~trips tiles out
+      in
+      let r =
+        Analytical.Movement.analyze ?charge_intermediates chain ~perm ~tiling
+      in
+      (out.Analytical.Movement.dv, mu) = Analytical.Movement.eval_array ev tiles
+      && out.Analytical.Movement.dv = r.Analytical.Movement.dv_bytes
+      && mu = r.Analytical.Movement.mu_bytes)
+
+(* [order_ids] validates exactly like [compile_with]: same exception,
+   same message, on a non-permutation. *)
+let order_ids_validation_case =
+  case "order_ids rejects non-permutations like compile_with" (fun () ->
+      let chain = figure2_chain () in
+      let tpl = Analytical.Movement.compile_template chain in
+      let fused = Analytical.Movement.fused_axes chain in
+      List.iter
+        (fun perm ->
+          let msg f =
+            match f () with
+            | _ -> "accepted"
+            | exception Invalid_argument m -> m
+          in
+          check_string
+            (Printf.sprintf "[%s]" (String.concat "," perm))
+            (msg (fun () ->
+                 ignore (Analytical.Movement.compile_with tpl ~perm)))
+            (msg (fun () -> ignore (Analytical.Movement.order_ids tpl ~perm))))
+        [ List.tl fused; fused @ [ List.hd fused ]; "zz" :: List.tl fused;
+          List.hd fused :: List.tl (List.rev fused) ])
+
+(* The per-entry pricing must allocate nothing: the accumulators stay
+   unboxed and DV leaves through the caller's cell. *)
+let eval_order_alloc_case =
+  case "template pricing allocates nothing per evaluation" (fun () ->
+      let chain = Workloads.Conv_configs.chain ~relu:true
+          (List.nth Workloads.Conv_configs.all 2) in
+      let tpl = Analytical.Movement.compile_template chain in
+      let perm = List.hd (Analytical.Permutations.candidates chain) in
+      let order = Analytical.Movement.order_ids tpl ~perm in
+      let tiles =
+        Array.of_list
+          (List.map (fun (a : Ir.Axis.t) -> max 1 (a.Ir.Axis.extent / 3))
+             chain.Ir.Chain.axes)
+      in
+      let out = { Analytical.Movement.dv = 0.0 } in
+      let trips = Array.make (Array.length tiles) 0 in
+      ignore (Analytical.Movement.eval_order tpl ~order ~trips tiles out);
+      let evals = 1000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to evals do
+        ignore (Analytical.Movement.eval_order tpl ~order ~trips tiles out)
+      done;
+      let words = Gc.minor_words () -. w0 in
+      (* A couple of words for the boxed [Gc.minor_words] result itself. *)
+      check_true
+        (Printf.sprintf "%.0f minor words over %d evaluations" words evals)
+        (words < 16.0))
+
+(* ----------------------------------------------------------------- *)
 (* Batched SoA lanes = eval_array, bit for bit                        *)
 (* ----------------------------------------------------------------- *)
 
@@ -540,6 +630,12 @@ let suites =
             Test_properties.arbitrary_conv_setup;
           prop_compile_matches_analyze_charged;
           prop_eval_array_matches_eval;
+          prop_eval_order_matches "gemm chains"
+            Test_properties.arbitrary_gemm_setup;
+          prop_eval_order_matches "conv chains"
+            Test_properties.arbitrary_conv_setup;
+          prop_eval_order_matches "conv chains, charged intermediates"
+            ~charge_intermediates:true Test_properties.arbitrary_conv_setup;
           prop_batch_matches_eval_array "gemm chains"
             Test_properties.arbitrary_gemm_setup;
           prop_batch_matches_eval_array "conv chains"
@@ -548,7 +644,8 @@ let suites =
             Test_properties.arbitrary_gemm_setup;
           prop_lower_bound_sound "conv chains"
             Test_properties.arbitrary_conv_setup;
-        ] );
+        ]
+      @ [ order_ids_validation_case; eval_order_alloc_case ] );
     ( "planner_fast.equivalence",
       explore_head_cases
       @ [ prune_accounting_case; tie_prune_case; compiled_engine_case ]

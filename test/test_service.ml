@@ -666,7 +666,7 @@ let degradation_tests =
 (* Serve loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let serve lines =
+let serve ?verify lines =
   let in_path = Filename.temp_file "chimera-serve" ".in" in
   let out_path = Filename.temp_file "chimera-serve" ".out" in
   let oc = open_out in_path in
@@ -677,7 +677,7 @@ let serve lines =
     lines;
   close_out oc;
   let ic = open_in in_path and oc = open_out out_path in
-  Service.Serve.run ic oc;
+  Service.Serve.run ?verify ic oc;
   close_in ic;
   close_out oc;
   let ic = open_in out_path in
@@ -1741,6 +1741,30 @@ let tracing_tests =
             | l ->
                 Alcotest.failf "expected 4 responses, got %d"
                   (List.length l)));
+    slow_case "a traced strict cache hit times each verify pass" (fun () ->
+        let out =
+          serve ~verify:Service.Batch.Verify_strict
+            [
+              "{\"workload\":\"G1\",\"arch\":\"cpu\",\"id\":\"cold\"}";
+              "{\"workload\":\"G1\",\"arch\":\"cpu\",\"id\":\"hit\",\
+               \"timings\":true}";
+              "{\"cmd\":\"quit\"}";
+            ]
+        in
+        match out with
+        | [ _cold; hit; _quit ] -> (
+            check_true "served from the cache"
+              (jfield "source" hit = Util.Json.String "cache");
+            check_true "strictly verified"
+              (jfield "certificate" hit = Util.Json.String "certified");
+            match jfield "timings_ms" hit with
+            | Util.Json.Obj phases ->
+                List.iter
+                  (fun key ->
+                    check_true (key ^ " timed") (List.mem_assoc key phases))
+                  [ "verify"; "verify.unit"; "verify.cert"; "verify.diff" ]
+            | _ -> Alcotest.fail "timings_ms missing or not an object")
+        | l -> Alcotest.failf "expected 3 responses, got %d" (List.length l));
     slow_case "trace-loss counters ride the stats wire" (fun () ->
         let out =
           serve
