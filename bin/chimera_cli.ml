@@ -582,7 +582,10 @@ let batch_cmd requests_path jobs cache_dir deadline_ms failpoints verify
       let table =
         Util.Table.create
           ~columns:
-            [ "request"; "status"; "kernels"; "est us"; "plan ms"; "order" ]
+            [
+              "request"; "status"; "kernels"; "est us"; "plan ms"; "cert";
+              "order";
+            ]
       in
       List.iter
         (fun (req, result) ->
@@ -611,12 +614,13 @@ let batch_cmd requests_path jobs cache_dir deadline_ms failpoints verify
                   Printf.sprintf "%.1f"
                     (Chimera.Compiler.total_time_seconds r.compiled *. 1e6);
                   Printf.sprintf "%.1f" (r.seconds *. 1e3);
+                  Option.value r.certificate ~default:"-";
                   order;
                 ]
           | Error e ->
               Util.Table.add_row table
                 [
-                  Service.Request.describe req; "FAILED"; "-"; "-"; "-";
+                  Service.Request.describe req; "FAILED"; "-"; "-"; "-"; "-";
                   Service.Error.to_string e;
                 ])
         results;

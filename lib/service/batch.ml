@@ -284,20 +284,45 @@ let note_certificate metrics verdict =
 (* Run the static-analysis passes over a successful response — fresh
    plans and cache hits alike, because marshalled cache entries bypass
    every constructor check, so a corrupt or stale cache file is exactly
-   what this catches.  Strict mode rejects responses carrying error
-   diagnostics; warn mode annotates them.  The verifier itself is
-   contained like any other per-request step: an exception inside it
-   never poisons the batch. *)
-let apply_verify ?(obs = Obs.Trace.none) ?pool ~verify metrics
-    (r : (response, Error.t) result) =
-  match (verify, r) with
-  | Verify_off, _ | _, Error _ -> r
-  | (Verify_warn | Verify_strict), Ok resp -> (
-      bump metrics (fun (m : Metrics.t) ->
-          m.verify_runs <- m.verify_runs + 1);
+   what this catches.  Each entry is checked at most once per process:
+   the diagnostics are stored on the plan-cache node holding [entry]
+   (with the display labels they mention) and reused by every later
+   response built from that same entry under the same labels.  Strict
+   mode rejects responses carrying error diagnostics; warn mode
+   annotates them.  The verifier itself is contained like any other
+   per-request step: an exception inside it never poisons the batch,
+   and is never stored. *)
+let apply_verify ?(obs = Obs.Trace.none) ?pool ~verify ~cache metrics entry
+    (resp : response) =
+  match verify with
+  | Verify_off -> Ok resp
+  | Verify_warn | Verify_strict -> (
+      let compiled = resp.compiled in
+      let chain_label = compiled.Chimera.Compiler.chain.Ir.Chain.name in
+      let machine_label =
+        compiled.Chimera.Compiler.machine.Arch.Machine.name
+      in
       match
         Obs.Trace.span obs "verify" (fun obs ->
-            Verify.Driver.check_compiled ?pool ~obs resp.compiled)
+            match Plan_cache.verdict cache resp.fingerprint entry with
+            | Some v
+              when v.Plan_cache.chain_label = chain_label
+                   && v.Plan_cache.machine_label = machine_label ->
+                Obs.Trace.annot obs [ ("reused", "true") ];
+                bump metrics (fun (m : Metrics.t) ->
+                    m.verify_reused <- m.verify_reused + 1);
+                v.Plan_cache.diagnostics
+            | _ ->
+                Obs.Trace.annot obs [ ("reused", "false") ];
+                bump metrics (fun (m : Metrics.t) ->
+                    m.verify_runs <- m.verify_runs + 1);
+                Failpoint.hit ~ctx:chain_label "verify.check";
+                let diagnostics =
+                  Verify.Driver.check_compiled ?pool ~obs compiled
+                in
+                Plan_cache.set_verdict cache resp.fingerprint entry
+                  { Plan_cache.chain_label; machine_label; diagnostics };
+                diagnostics)
       with
       | exception e -> (
           match verify with
@@ -305,7 +330,7 @@ let apply_verify ?(obs = Obs.Trace.none) ?pool ~verify metrics
               Error
                 (Error.Verify_failed
                    ("verifier raised: " ^ Printexc.to_string e))
-          | _ -> r)
+          | _ -> Ok resp)
       | ds ->
           let verdict = certificate_verdict resp ds in
           note_certificate metrics verdict;
@@ -324,6 +349,26 @@ let apply_verify ?(obs = Obs.Trace.none) ?pool ~verify metrics
                 Error (Error.Verify_failed (Verify.Diagnostic.summary ds))
             | _ -> Ok { resp with verification = ds }
           end)
+
+(* Materialize [entry] into a response for one request, then verify it.
+   The one response builder shared by [compile] and [run]. *)
+let respond ?pool ~verify ~cache metrics ~obs ~trace ~fp ~config ~machine
+    chain source seconds entry =
+  Result.bind
+    (materialize ~obs ~config ~machine chain entry)
+    (fun compiled ->
+      apply_verify ~obs ?pool ~verify ~cache metrics entry
+        {
+          fingerprint = fp;
+          source;
+          rung = entry.Plan_cache.rung;
+          degraded = entry.Plan_cache.degrade_reason;
+          compiled;
+          seconds;
+          verification = [];
+          certificate = None;
+          trace = Some trace;
+        })
 
 (* The batch must survive anything planning throws, including faults
    injected below [plan_subs]'s own containment (e.g. in
@@ -360,58 +405,45 @@ let compile ?cache ?metrics ?(config = Chimera.Config.default) ?deadline
           Obs.Trace.span ctx "fingerprint" (fun _ ->
               Fingerprint.of_request ~chain ~machine ~config)
         in
-        let build source seconds entry =
-          Result.map
-            (fun compiled ->
-              {
-                fingerprint = fp;
-                source;
-                rung = entry.Plan_cache.rung;
-                degraded = entry.Plan_cache.degrade_reason;
-                compiled;
-                seconds;
-                verification = [];
-                certificate = None;
-                trace = Some trace;
-              })
-            (materialize ~obs:ctx ~config ~machine chain entry)
+        let respond =
+          respond ?pool ~verify ~cache metrics ~obs:ctx ~trace ~fp ~config
+            ~machine chain
         in
-        let result =
-          match
-            Obs.Trace.span ctx "cache.lookup" (fun ctx ->
-                let hit = Plan_cache.find cache fp in
-                Obs.Trace.annot ctx
-                  [ ("hit", if hit = None then "false" else "true") ];
-                hit)
-          with
-          | Some entry -> build Cache 0.0 entry
-          | None ->
-              Obs.Trace.span ctx "solve" (fun ctx ->
-                  let t0 = now () in
-                  let planned, deadline_hit =
-                    guarded_plan_entry ?deadline ?pool ~obs:ctx ~config
-                      ~machine chain
-                  in
-                  let dt = now () -. t0 in
-                  note_plan_search metrics planned;
-                  note_deadline_hit metrics deadline_hit;
-                  match planned with
-                  | Error (err, solves) ->
-                      note_solves metrics solves;
-                      Obs.Trace.annot ctx
-                        [ ("outcome", Error.code err) ];
-                      Error err
-                  | Ok (entry, solves) ->
-                      note_solves metrics solves;
-                      Obs.Trace.annot ctx
-                        [
-                          ("rung", Plan_cache.rung_to_string entry.Plan_cache.rung);
-                          ("solves", string_of_int solves);
-                        ];
-                      Plan_cache.add cache fp entry;
-                      build Compiled dt entry)
-        in
-        apply_verify ~obs:ctx ?pool ~verify metrics result)
+        match
+          Obs.Trace.span ctx "cache.lookup" (fun ctx ->
+              let hit = Plan_cache.find cache fp in
+              Obs.Trace.annot ctx
+                [ ("hit", if hit = None then "false" else "true") ];
+              hit)
+        with
+        | Some entry -> respond Cache 0.0 entry
+        | None ->
+            Result.bind
+              (Obs.Trace.span ctx "solve" (fun ctx ->
+                    let t0 = now () in
+                    let planned, deadline_hit =
+                      guarded_plan_entry ?deadline ?pool ~obs:ctx ~config
+                        ~machine chain
+                    in
+                    let dt = now () -. t0 in
+                    note_plan_search metrics planned;
+                    note_deadline_hit metrics deadline_hit;
+                    match planned with
+                    | Error (err, solves) ->
+                        note_solves metrics solves;
+                        Obs.Trace.annot ctx [ ("outcome", Error.code err) ];
+                        Error err
+                    | Ok (entry, solves) ->
+                        note_solves metrics solves;
+                        Obs.Trace.annot ctx
+                          [
+                            ( "rung",
+                              Plan_cache.rung_to_string entry.Plan_cache.rung );
+                            ("solves", string_of_int solves);
+                          ];
+                        Plan_cache.add cache fp entry;
+                        Ok (entry, dt)))
+              (fun (entry, dt) -> respond Compiled dt entry))
   in
   note_trace metrics trace;
   note_response metrics result;
@@ -568,37 +600,23 @@ let run ?(jobs = 1) ?cache ?metrics ?(config = Chimera.Config.default)
         match slot with
         | Unresolved e -> Error e
         | Pending { fp; p_config; p_machine; p_chain; p_trace; hit; _ } -> (
-            let ctx = Obs.Trace.ctx p_trace in
-            let build source seconds entry =
-              Result.map
-                (fun compiled ->
-                  {
-                    fingerprint = fp;
-                    source;
-                    rung = entry.Plan_cache.rung;
-                    degraded = entry.Plan_cache.degrade_reason;
-                    compiled;
-                    seconds;
-                    verification = [];
-                    certificate = None;
-                    trace = Some p_trace;
-                  })
-                (materialize ~obs:ctx ~config:p_config ~machine:p_machine
-                   p_chain entry)
+            let respond =
+              respond ~pool ~verify ~cache metrics
+                ~obs:(Obs.Trace.ctx p_trace) ~trace:p_trace ~fp
+                ~config:p_config ~machine:p_machine p_chain
             in
             let result =
               match hit with
-              | Some entry -> build Cache 0.0 entry
+              | Some entry -> respond Cache 0.0 entry
               | None -> (
                   match
                     Hashtbl.find_opt outcomes (Fingerprint.to_hex fp)
                   with
-                  | Some (Ok (entry, dt)) -> build Compiled dt entry
+                  | Some (Ok (entry, dt)) -> respond Compiled dt entry
                   | Some (Error err) -> Error err
                   | None ->
                       Error (Error.Internal "request was never planned"))
             in
-            let result = apply_verify ~obs:ctx ~pool ~verify metrics result in
             note_trace metrics p_trace;
             result)
       in

@@ -35,7 +35,12 @@ type verify_mode =
   | Verify_off  (** no verification (the default). *)
   | Verify_warn
       (** run the {!Verify} passes on every successful response — fresh
-          plans and cache hits alike — and attach the diagnostics. *)
+          plans and cache hits alike — and attach the diagnostics.  The
+          passes run at most once per cache entry per process: the
+          diagnostics are stored on the entry's plan-cache node
+          ({!Plan_cache.verdict}) and every later response built from
+          that same entry under the same chain and machine labels
+          reuses them. *)
   | Verify_strict
       (** like [Verify_warn], but a response carrying error-severity
           diagnostics is rejected as {!Error.Verify_failed}.  This is

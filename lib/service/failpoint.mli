@@ -37,7 +37,8 @@
     [plan.heuristic] (the last-rung heuristic tiling; ctx = sub-chain
     name), [cache.load] and [cache.save] (plan-cache persistence; ctx =
     file path), [serve.handle] (per input line of the serve loop; ctx =
-    the raw line).
+    the raw line), [verify.check] (each run of the verifier passes on a
+    response; ctx = chain name).
 
     All state is process-global and mutex-guarded: hits may come from
     any domain of a parallel batch.  Inactive failpoints cost a single

@@ -15,6 +15,7 @@ type t = {
   mutable cache_io_retries : int;
   mutable cache_entries_migrated : int;
   mutable verify_runs : int;
+  mutable verify_reused : int;
   mutable verify_warnings : int;
   mutable verify_failures : int;
   mutable verify_certified_total : int;
@@ -50,6 +51,7 @@ let create () =
     cache_io_retries = 0;
     cache_entries_migrated = 0;
     verify_runs = 0;
+    verify_reused = 0;
     verify_warnings = 0;
     verify_failures = 0;
     verify_certified_total = 0;
@@ -84,6 +86,7 @@ let reset t =
   t.cache_io_retries <- 0;
   t.cache_entries_migrated <- 0;
   t.verify_runs <- 0;
+  t.verify_reused <- 0;
   t.verify_warnings <- 0;
   t.verify_failures <- 0;
   t.verify_certified_total <- 0;
@@ -126,6 +129,7 @@ let fields t =
     ("cache_io_retries", Counter t.cache_io_retries);
     ("cache_entries_migrated", Counter t.cache_entries_migrated);
     ("verify_runs", Counter t.verify_runs);
+    ("verify_reused", Counter t.verify_reused);
     ("verify_warnings", Counter t.verify_warnings);
     ("verify_failures", Counter t.verify_failures);
     ("verify_certified_total", Counter t.verify_certified_total);
@@ -176,6 +180,7 @@ let merge ~into src =
   into.cache_entries_migrated <-
     into.cache_entries_migrated + src.cache_entries_migrated;
   into.verify_runs <- into.verify_runs + src.verify_runs;
+  into.verify_reused <- into.verify_reused + src.verify_reused;
   into.verify_warnings <- into.verify_warnings + src.verify_warnings;
   into.verify_failures <- into.verify_failures + src.verify_failures;
   into.verify_certified_total <-
@@ -253,6 +258,7 @@ let of_wire_json json =
     counter "cache_entries_migrated" (fun n -> t.cache_entries_migrated <- n)
   in
   let* () = counter "verify_runs" (fun n -> t.verify_runs <- n) in
+  let* () = counter "verify_reused" (fun n -> t.verify_reused <- n) in
   let* () = counter "verify_warnings" (fun n -> t.verify_warnings <- n) in
   let* () = counter "verify_failures" (fun n -> t.verify_failures <- n) in
   let* () =
@@ -368,6 +374,9 @@ let help name =
   | "cache_entries_migrated" ->
       "Entries skipped on load from older cache file versions."
   | "verify_runs" -> "Responses run through the static-analysis passes."
+  | "verify_reused" ->
+      "Verified responses answered with the verdict stored on their \
+       plan-cache entry."
   | "verify_warnings" -> "Verified responses with warnings only."
   | "verify_failures" ->
       "Verified responses with error-severity diagnostics."

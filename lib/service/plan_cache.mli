@@ -80,6 +80,34 @@ val add : t -> Fingerprint.t -> entry -> unit
 (** Insert or replace, evicting least-recently-used entries over
     capacity; marks the cache dirty. *)
 
+(** {2 Stored verification verdicts}
+
+    A verifying service checks each cache entry at most once per
+    process: the verdict lives on the node holding the entry and is
+    dropped whenever that node's value is replaced ({!add}, {!load}),
+    evicted or cleared.  Nothing persists it — {!load} always creates
+    nodes with no verdict.  See docs/VERIFY.md. *)
+
+type verdict = {
+  chain_label : string;
+  machine_label : string;
+      (** the chain and machine display names the diagnostics were
+          computed under: the fingerprint excludes them, the
+          diagnostics' locations do not. *)
+  diagnostics : Verify.Diagnostic.t list;
+}
+
+val verdict : t -> Fingerprint.t -> entry -> verdict option
+(** The verdict stored for [entry] under [fp]: [None] unless the node
+    for [fp] still holds this very [entry] (physical equality) and a
+    verdict was stored on it since it did.  Touches neither recency nor
+    counters. *)
+
+val set_verdict : t -> Fingerprint.t -> entry -> verdict -> unit
+(** Store [v] on the node for [fp], replacing any earlier verdict —
+    only when that node still holds this very [entry]; a no-op once the
+    entry was replaced or evicted. *)
+
 val mem : t -> Fingerprint.t -> bool
 (** Membership without touching recency or counters. *)
 

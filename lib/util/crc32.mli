@@ -9,4 +9,6 @@ val string : string -> int
 (** The CRC-32 of a whole string. *)
 
 val update : int -> string -> int
-(** Extend a running checksum: [update (string a) b = string (a ^ b)]. *)
+(** Extend a running checksum: [update (string a) b = string (a ^ b)].
+    The running checksum must itself be a result of this module (in
+    [0, 2^32)). *)

@@ -2,7 +2,7 @@
 """Gate the certify job: every served plan must carry a checked
 optimality certificate.
 
-Usage: check_certify.py CERTIFY.jsonl [CERTIFY.prom]
+Usage: check_certify.py CERTIFY.jsonl [CERTIFY.prom] [--reuse BATCH.txt]
 
 CERTIFY.jsonl is the output of
 `chimera lint --workload all --arch all --certify --strict --json`:
@@ -10,7 +10,11 @@ one JSON object per workload x preset pair, each carrying an `ok`
 flag, a `certificate` verdict and a `diagnostics` array (see
 docs/CERTIFY.md).  The optional CERTIFY.prom is a Prometheus scrape
 from a `--verify strict` fleet/loadgen run, used to confirm the
-verdict counters are actually wired.
+verdict counters are actually wired.  The optional BATCH.txt is the
+table output of `chimera batch --verify strict` over a request file
+that lists every request exactly twice
+(scripts/certify_reuse_requests.jsonl), used to confirm that the second
+answer, served on the verdict stored for the first, is the same answer.
 
 Asserts:
 
@@ -23,8 +27,14 @@ Asserts:
   * no row carries a certificate-error diagnostic (CHIM036-042) or a
     coverage failure (CHIM040) at any severity;
   * when a scrape is given: chimera_verify_certified_total > 0 and
-    chimera_verify_failures == 0.
+    chimera_verify_failures == 0;
+  * when a batch table is given: every answer is `certified` or
+    `conditional`, the two answers of each request agree in every
+    column but `plan ms`, and the summary's verify_reused is at least
+    the number of requests listed twice.
 """
+
+import argparse
 
 import json
 import re
@@ -98,15 +108,65 @@ def check_prom(path):
     return certified
 
 
+def check_reuse(path):
+    with open(path) as f:
+        lines = f.read().splitlines()
+    try:
+        start = next(i for i, l in enumerate(lines) if l.split()[:2] == ["request", "status"])
+    except StopIteration:
+        fail(f"{path}: no batch table")
+    header = lines[start].split()
+    # "est us" and "plan ms" are two-word headers over one-word cells.
+    columns = ["request", "status", "kernels", "est_us", "plan_ms", "cert", "order"]
+    if header != ["request", "status", "kernels", "est", "us", "plan", "ms", "cert", "order"]:
+        fail(f"{path}: unexpected batch columns {header}")
+    answers = {}
+    for line in lines[start + 2:]:
+        if not line.strip():
+            break
+        row = dict(zip(columns, line.split()))
+        tag = row["request"]
+        if row.get("status") == "FAILED":
+            fail(f"{tag}: failed: {line}")
+        if row.get("cert") not in ("certified", "conditional"):
+            fail(f"{tag}: certificate verdict {row.get('cert')!r}")
+        del row["plan_ms"]
+        answers.setdefault(tag, []).append(row)
+    if not answers:
+        fail(f"{path}: empty batch table")
+    for tag, rows in answers.items():
+        if len(rows) != 2:
+            fail(f"{tag}: answered {len(rows)} times, expected twice")
+        if rows[0] != rows[1]:
+            fail(f"{tag}: the two answers differ: {rows[0]} vs {rows[1]}")
+    reused = None
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 2 and parts[0] == "verify_reused":
+            reused = int(parts[1])
+    if reused is None:
+        fail(f"{path}: verify_reused missing from the summary")
+    if reused < len(answers):
+        fail(f"{path}: verify_reused = {reused} < {len(answers)} repeated requests")
+    return len(answers), reused
+
+
 def main():
-    if len(sys.argv) not in (2, 3):
-        fail(f"usage: {sys.argv[0]} CERTIFY.jsonl [CERTIFY.prom]")
-    n, verdicts = check_rows(sys.argv[1])
+    ap = argparse.ArgumentParser(description="Gate the certify job.")
+    ap.add_argument("jsonl")
+    ap.add_argument("prom", nargs="?")
+    ap.add_argument("--reuse", metavar="BATCH.txt")
+    args = ap.parse_args()
+    n, verdicts = check_rows(args.jsonl)
     census = ", ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))
     print(f"check_certify: OK: {n} rows ({census})")
-    if len(sys.argv) == 3:
-        certified = check_prom(sys.argv[2])
+    if args.prom is not None:
+        certified = check_prom(args.prom)
         print(f"check_certify: OK: scrape certified_total = {certified:g}")
+    if args.reuse is not None:
+        pairs, reused = check_reuse(args.reuse)
+        print(f"check_certify: OK: {pairs} requests answered twice alike, "
+              f"verify_reused = {reused}")
 
 
 if __name__ == "__main__":

@@ -38,3 +38,37 @@ let mnkl = [ "b"; "m"; "n"; "k"; "l" ]
 let tiling_64 chain =
   Analytical.Tiling.make chain
     [ ("b", 1); ("m", 64); ("n", 64); ("k", 64); ("l", 64) ]
+
+(* Corrupt a cached entry's marshalled analysis the way a stale or
+   bit-rotted cache file would: the stored DV no longer matches the
+   plan. *)
+let corrupt_dv (entry : Service.Plan_cache.entry) =
+  let corrupt_lp (lp : Analytical.Planner.level_plan) =
+    let open Analytical.Planner in
+    let m = lp.plan.movement in
+    {
+      lp with
+      plan =
+        {
+          lp.plan with
+          movement =
+            {
+              m with
+              Analytical.Movement.dv_bytes =
+                m.Analytical.Movement.dv_bytes *. 0.25;
+            };
+        };
+    }
+  in
+  {
+    entry with
+    Service.Plan_cache.units =
+      List.map
+        (fun (up : Chimera.Compiler.unit_plan) ->
+          {
+            up with
+            Chimera.Compiler.level_plans =
+              List.map corrupt_lp up.Chimera.Compiler.level_plans;
+          })
+        entry.Service.Plan_cache.units;
+  }

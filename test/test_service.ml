@@ -666,7 +666,7 @@ let degradation_tests =
 (* Serve loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let serve ?verify lines =
+let serve ?verify ?cache_dir lines =
   let in_path = Filename.temp_file "chimera-serve" ".in" in
   let out_path = Filename.temp_file "chimera-serve" ".out" in
   let oc = open_out in_path in
@@ -677,7 +677,7 @@ let serve ?verify lines =
     lines;
   close_out oc;
   let ic = open_in in_path and oc = open_out out_path in
-  Service.Serve.run ?verify ic oc;
+  Service.Serve.run ?verify ?cache_dir ic oc;
   close_in ic;
   close_out oc;
   let ic = open_in out_path in
@@ -787,8 +787,35 @@ let serve_tests =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let contains_sub text sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+  in
+  go 0
+
 let metrics_tests =
   [
+    case "verify_reused rides stats, the wire, merge and prometheus"
+      (fun () ->
+        let m = Service.Metrics.create () in
+        m.Service.Metrics.verify_reused <- 5;
+        check_true "stats"
+          (jfield "verify_reused" (Service.Metrics.to_json m)
+          = Util.Json.Int 5);
+        (match Service.Metrics.of_wire_json (Service.Metrics.to_wire_json m)
+         with
+        | Ok m' -> check_int "wire" 5 m'.Service.Metrics.verify_reused
+        | Error e -> Alcotest.fail e);
+        let into = Service.Metrics.create () in
+        into.Service.Metrics.verify_reused <- 2;
+        Service.Metrics.merge ~into m;
+        check_int "merged" 7 into.Service.Metrics.verify_reused;
+        let text = Service.Metrics.to_prometheus m in
+        check_true "described"
+          (contains_sub text
+             "# HELP chimera_verify_reused Verified responses answered");
+        check_true "exposed" (contains_sub text "\nchimera_verify_reused 5\n"));
     case "table and json expose every counter" (fun () ->
         let m = Service.Metrics.create () in
         m.Service.Metrics.requests <- 3;
@@ -1742,28 +1769,45 @@ let tracing_tests =
                 Alcotest.failf "expected 4 responses, got %d"
                   (List.length l)));
     slow_case "a traced strict cache hit times each verify pass" (fun () ->
+        (* The first hit on an entry loaded from disk runs every pass;
+           the next hit on the same entry reuses the stored verdict, so
+           it keeps its [verify] span but runs no pass. *)
+        let dir = fresh_dir () in
+        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+        ignore
+          (serve ~cache_dir:dir
+             [
+               "{\"workload\":\"G1\",\"arch\":\"cpu\",\"id\":\"cold\"}";
+               "{\"cmd\":\"quit\"}";
+             ]);
+        let hit id =
+          "{\"workload\":\"G1\",\"arch\":\"cpu\",\"id\":\"" ^ id
+          ^ "\",\"timings\":true}"
+        in
         let out =
-          serve ~verify:Service.Batch.Verify_strict
-            [
-              "{\"workload\":\"G1\",\"arch\":\"cpu\",\"id\":\"cold\"}";
-              "{\"workload\":\"G1\",\"arch\":\"cpu\",\"id\":\"hit\",\
-               \"timings\":true}";
-              "{\"cmd\":\"quit\"}";
-            ]
+          serve ~verify:Service.Batch.Verify_strict ~cache_dir:dir
+            [ hit "first"; hit "reused"; "{\"cmd\":\"quit\"}" ]
+        in
+        let phases resp =
+          check_true "served from the cache"
+            (jfield "source" resp = Util.Json.String "cache");
+          check_true "strictly verified"
+            (jfield "certificate" resp = Util.Json.String "certified");
+          match jfield "timings_ms" resp with
+          | Util.Json.Obj phases -> List.map fst phases
+          | _ -> Alcotest.fail "timings_ms missing or not an object"
         in
         match out with
-        | [ _cold; hit; _quit ] -> (
-            check_true "served from the cache"
-              (jfield "source" hit = Util.Json.String "cache");
-            check_true "strictly verified"
-              (jfield "certificate" hit = Util.Json.String "certified");
-            match jfield "timings_ms" hit with
-            | Util.Json.Obj phases ->
-                List.iter
-                  (fun key ->
-                    check_true (key ^ " timed") (List.mem_assoc key phases))
-                  [ "verify"; "verify.unit"; "verify.cert"; "verify.diff" ]
-            | _ -> Alcotest.fail "timings_ms missing or not an object")
+        | [ first; reused; _quit ] ->
+            let first = phases first and reused = phases reused in
+            List.iter
+              (fun key -> check_true (key ^ " timed") (List.mem key first))
+              [ "verify"; "verify.unit"; "verify.cert"; "verify.diff" ];
+            check_true "reused hit keeps its verify span"
+              (List.mem "verify" reused);
+            List.iter
+              (fun key -> check_false (key ^ " not rerun") (List.mem key reused))
+              [ "verify.unit"; "verify.cert"; "verify.diff" ]
         | l -> Alcotest.failf "expected 3 responses, got %d" (List.length l));
     slow_case "trace-loss counters ride the stats wire" (fun () ->
         let out =
@@ -1791,6 +1835,166 @@ let tracing_tests =
         | l -> Alcotest.failf "expected 4 responses, got %d" (List.length l));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Stored verification verdicts                                        *)
+(* ------------------------------------------------------------------ *)
+
+let strict_compile ~cache ~metrics chain =
+  Service.Batch.compile ~cache ~metrics ~verify:Service.Batch.Verify_strict
+    ~machine:cpu chain
+
+let check_verify_counts metrics ~runs ~reused =
+  check_int "verify_runs" runs metrics.Service.Metrics.verify_runs;
+  check_int "verify_reused" reused metrics.Service.Metrics.verify_reused
+
+let verify_attrs (r : Service.Batch.response) =
+  List.filter_map
+    (fun (sp : Obs.Trace.span) ->
+      if sp.Obs.Trace.name = "verify" then
+        List.assoc_opt "reused" sp.Obs.Trace.attrs
+      else None)
+    (Obs.Trace.spans (Option.get r.Service.Batch.trace))
+
+(* A cache directory holding three plans, one of them corrupt, and the
+   requests that hit them.  G5 at batch 12 and G1 at batch 12 are
+   structurally G4 and G2: the same cache entries under other labels. *)
+let make_reuse_dir () =
+  let dir = fresh_dir () in
+  let metrics = Service.Metrics.create () in
+  let cache = Service.Plan_cache.create ~metrics () in
+  List.iter
+    (fun (workload, arch) ->
+      let req = Service.Request.make ~workload ~arch () in
+      let chain, machine = Result.get_ok (Service.Request.resolve req) in
+      match Service.Batch.compile ~cache ~metrics ~machine chain with
+      | Ok r when workload = "G4" ->
+          let fp = r.Service.Batch.fingerprint in
+          let entry = Option.get (Service.Plan_cache.find cache fp) in
+          Service.Plan_cache.add cache fp (corrupt_dv entry)
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (err_str e))
+    [ ("G4", "cpu"); ("G2", "gpu"); ("G10", "npu") ];
+  Service.Plan_cache.save cache ~dir;
+  dir
+
+let reuse_pool =
+  [|
+    {|{"workload":"G4","arch":"cpu","id":"g4"}|};
+    {|{"workload":"G5","arch":"cpu","batch":12,"id":"g5-as-g4"}|};
+    {|{"workload":"G2","arch":"gpu","id":"g2"}|};
+    {|{"workload":"G1","arch":"gpu","batch":12,"timings":true}|};
+    {|{"workload":"G10","arch":"npu"}|};
+    {|{"workload":"G10","arch":"npu","id":7}|};
+  |]
+
+(* A response with its per-run fields removed: planning time and the
+   request's timings. *)
+let without_timings = function
+  | Util.Json.Obj fields ->
+      Util.Json.Obj
+        (List.filter
+           (fun (k, _) ->
+             not (List.mem k [ "compile_ms"; "timings_ms"; "trace_id" ]))
+           fields)
+  | j -> j
+
+let verdict_reuse_tests =
+  [
+    case "an evicted then reloaded entry is re-verified" (fun () ->
+        let dir = fresh_dir () in
+        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+        let metrics = Service.Metrics.create () in
+        let cache = Service.Plan_cache.create ~capacity:1 ~metrics () in
+        let strict chain =
+          match strict_compile ~cache ~metrics chain with
+          | Ok r -> r
+          | Error e -> Alcotest.fail (err_str e)
+        in
+        let a = gemm () and b = gemm ~m:16 () in
+        check_true "fresh plan checked" (verify_attrs (strict a) = [ "false" ]);
+        check_true "hit reused" (verify_attrs (strict a) = [ "true" ]);
+        check_verify_counts metrics ~runs:1 ~reused:1;
+        Service.Plan_cache.save cache ~dir;
+        ignore (strict b);
+        check_int "a evicted" 1 (Service.Plan_cache.evictions cache);
+        check_int "reloaded" 1
+          (Service.Plan_cache.loaded_count (Service.Plan_cache.load cache ~dir));
+        let r = strict a in
+        check_true "served from the reloaded entry"
+          (r.Service.Batch.source = Service.Batch.Cache);
+        check_true "and checked again" (verify_attrs r = [ "false" ]);
+        check_verify_counts metrics ~runs:3 ~reused:1;
+        ignore (strict a);
+        check_verify_counts metrics ~runs:3 ~reused:2);
+    case "a verifier exception is answered, never stored" (fun () ->
+        let metrics = Service.Metrics.create () in
+        let cache = Service.Plan_cache.create ~metrics () in
+        let chain = gemm () in
+        with_failpoints "verify.check=raise@1" (fun () ->
+            (match strict_compile ~cache ~metrics chain with
+            | Error (Service.Error.Verify_failed msg) ->
+                check_true "typed as a verifier fault"
+                  (contains_sub msg "verifier raised")
+            | Error e -> Alcotest.fail (err_str e)
+            | Ok _ -> Alcotest.fail "a raising verifier must not certify");
+            check_true "the plan itself was cached"
+              (Service.Plan_cache.mem cache (fp chain));
+            (match strict_compile ~cache ~metrics chain with
+            | Ok r ->
+                check_true "the hit is checked afresh"
+                  (verify_attrs r = [ "false" ]);
+                check_true "and certified"
+                  (r.Service.Batch.certificate = Some "certified")
+            | Error e -> Alcotest.fail (err_str e));
+            check_int "the passes ran twice" 2
+              (Service.Failpoint.hits "verify.check"));
+        check_verify_counts metrics ~runs:2 ~reused:0;
+        ignore (strict_compile ~cache ~metrics chain);
+        check_verify_counts metrics ~runs:2 ~reused:1);
+    slow_case "a sequence answers each request as a fresh server would"
+      (fun () ->
+        let dir = make_reuse_dir () in
+        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+        let answer verify lines =
+          List.map without_timings
+            (serve ~verify ~cache_dir:dir (lines @ [ {|{"cmd":"quit"}|} ]))
+        in
+        (* What a fresh server loading [dir] answers to one request. *)
+        let alone = Hashtbl.create 16 in
+        let solo verify i =
+          match Hashtbl.find_opt alone (verify, i) with
+          | Some r -> r
+          | None ->
+              let r = List.hd (answer verify [ reuse_pool.(i) ]) in
+              Hashtbl.add alone (verify, i) r;
+              r
+        in
+        QCheck.Test.check_exn
+          (QCheck.Test.make ~count:25 ~name:"sequence = requests alone"
+             QCheck.(
+               pair bool
+                 (list_of_size Gen.(1 -- 8)
+                    (int_bound (Array.length reuse_pool - 1))))
+             (fun (warn, picks) ->
+               let verify =
+                 if warn then Service.Batch.Verify_warn
+                 else Service.Batch.Verify_strict
+               in
+               match
+                 answer verify (List.map (fun i -> reuse_pool.(i)) picks)
+               with
+               | served when List.length served = List.length picks + 1 ->
+                   List.for_all2
+                     (fun i r ->
+                       (match Util.Json.member "source" r with
+                       | None | Some (Util.Json.String "cache") -> ()
+                       | Some _ -> Alcotest.fail "a pool request missed");
+                       r = solo verify i)
+                     picks
+                     (List.filteri (fun k _ -> k < List.length picks) served)
+               | _ -> false)));
+  ]
+
 let suites =
   [
     ("service.json", json_tests);
@@ -1812,4 +2016,5 @@ let suites =
     ("service.injection", injection_tests);
     ("service.marathon", marathon_tests);
     ("service.tracing", tracing_tests);
+    ("service.verdict_reuse", verdict_reuse_tests);
   ]

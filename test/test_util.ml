@@ -270,8 +270,45 @@ let json_tests =
           [ 0.0; -1.5; 3.14159265358979; 1e-300; 1.7976931348623157e308 ]);
   ]
 
+(* The byte-at-a-time reference the slice-by-8 CRC must reproduce bit
+   for bit: one table lookup per input byte. *)
+let crc_oracle crc s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  String.iter
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF
+
+let crc_tests =
+  let qcheck = QCheck_alcotest.to_alcotest in
+  [
+    case "standard check value" (fun () ->
+        check_int "crc32(123456789)" 0xCBF43926
+          (Util.Crc32.string "123456789");
+        check_int "empty" 0 (Util.Crc32.string ""));
+    qcheck
+      (QCheck.Test.make ~count:500 ~name:"slice-by-8 matches the byte oracle"
+         QCheck.(
+           pair (string_of_size Gen.(0 -- 200)) (string_of_size Gen.(0 -- 200)))
+         (fun (a, b) ->
+           let whole = Util.Crc32.string (a ^ b) in
+           whole = crc_oracle 0 (a ^ b)
+           && Util.Crc32.update (Util.Crc32.string a) b = whole
+           && Util.Crc32.update (crc_oracle 0 a) b
+              = crc_oracle (crc_oracle 0 a) b));
+  ]
+
 let suites =
   [
+    ("util.crc32", crc_tests);
     ("util.ints", ints_tests);
     ("util.json", json_tests);
     ("util.perm", perm_tests);

@@ -365,37 +365,7 @@ let seeded_bug_tests =
             ~config:Chimera.Config.default
         in
         let entry = Option.get (Service.Plan_cache.find cache fp) in
-        (* Corrupt the marshalled analysis the way a stale or bit-rotted
-           cache file would: the stored DV no longer matches the plan. *)
-        let corrupt_lp (lp : Analytical.Planner.level_plan) =
-          let open Analytical.Planner in
-          let m = lp.plan.movement in
-          {
-            lp with
-            plan =
-              {
-                lp.plan with
-                movement =
-                  {
-                    m with
-                    Analytical.Movement.dv_bytes =
-                      m.Analytical.Movement.dv_bytes *. 0.25;
-                  };
-              };
-          }
-        in
-        let corrupt_units =
-          List.map
-            (fun (up : Chimera.Compiler.unit_plan) ->
-              {
-                up with
-                Chimera.Compiler.level_plans =
-                  List.map corrupt_lp up.Chimera.Compiler.level_plans;
-              })
-            entry.Service.Plan_cache.units
-        in
-        Service.Plan_cache.add cache fp
-          { entry with Service.Plan_cache.units = corrupt_units };
+        Service.Plan_cache.add cache fp (corrupt_dv entry);
         (* Warn mode answers but attaches the findings... *)
         (match
            Service.Batch.compile ~cache ~metrics ~machine
@@ -419,6 +389,124 @@ let seeded_bug_tests =
             Alcotest.failf "wrong error: %s" (Service.Error.to_string e));
         check_true "failures counted"
           (metrics.Service.Metrics.verify_failures >= 2));
+  ]
+
+(* ----------------------------------------------------------------- *)
+(* Stored verdicts: each cache entry is verified once per process      *)
+(* ----------------------------------------------------------------- *)
+
+let a100 = Arch.Presets.nvidia_a100
+
+let verified ~verify ~cache ~metrics ?(machine = a100) chain =
+  match Service.Batch.compile ~cache ~metrics ~verify ~machine chain with
+  | Ok r -> r
+  | Error e ->
+      Alcotest.failf "%s should answer: %s" chain.Ir.Chain.name
+        (Service.Error.to_string e)
+
+let check_counts metrics ~runs ~reused =
+  check_int "verify_runs" runs metrics.Service.Metrics.verify_runs;
+  check_int "verify_reused" reused metrics.Service.Metrics.verify_reused
+
+(* A cache whose only entry, for [chain] on the A100, is corrupt. *)
+let corrupt_cache chain =
+  let metrics = Service.Metrics.create () in
+  let cache = Service.Plan_cache.create ~metrics () in
+  ignore (verified ~verify:Service.Batch.Verify_off ~cache ~metrics chain);
+  let fp =
+    Service.Fingerprint.of_request ~chain ~machine:a100
+      ~config:Chimera.Config.default
+  in
+  let entry = Option.get (Service.Plan_cache.find cache fp) in
+  Service.Plan_cache.add cache fp (corrupt_dv entry);
+  (cache, metrics)
+
+let verdict_reuse_tests =
+  let strict = Service.Batch.Verify_strict
+  and warn = Service.Batch.Verify_warn in
+  [
+    case "a corrupt entry re-added after a verified hit is still rejected"
+      (fun () ->
+        let chain = small_gemm_chain () in
+        let metrics = Service.Metrics.create () in
+        let cache = Service.Plan_cache.create ~metrics () in
+        let fresh = verified ~verify:strict ~cache ~metrics chain in
+        let hit = verified ~verify:strict ~cache ~metrics chain in
+        check_true "served from the cache"
+          (hit.Service.Batch.source = Service.Batch.Cache);
+        check_true "the same verdict"
+          (hit.Service.Batch.certificate = fresh.Service.Batch.certificate);
+        check_counts metrics ~runs:1 ~reused:1;
+        let fp =
+          Service.Fingerprint.of_request ~chain ~machine:a100
+            ~config:Chimera.Config.default
+        in
+        let entry = Option.get (Service.Plan_cache.find cache fp) in
+        Service.Plan_cache.add cache fp (corrupt_dv entry);
+        let rejected () =
+          match
+            Service.Batch.compile ~cache ~metrics ~verify:strict
+              ~machine:a100 chain
+          with
+          | Error (Service.Error.Verify_failed _) -> ()
+          | Error e ->
+              Alcotest.failf "wrong error: %s" (Service.Error.to_string e)
+          | Ok _ -> Alcotest.fail "strict mode served a corrupt entry"
+        in
+        rejected ();
+        check_counts metrics ~runs:2 ~reused:1;
+        (* The failing verdict is stored like any other. *)
+        rejected ();
+        check_counts metrics ~runs:2 ~reused:2;
+        check_int "every rejection counted" 2
+          metrics.Service.Metrics.verify_failures);
+    case "warn-mode findings are reproduced on a reused hit" (fun () ->
+        let chain = small_gemm_chain () in
+        let cache, metrics = corrupt_cache chain in
+        let first = verified ~verify:warn ~cache ~metrics chain in
+        let again = verified ~verify:warn ~cache ~metrics chain in
+        check_false "findings attached"
+          (D.ok first.Service.Batch.verification);
+        check_true "identical findings"
+          (again.Service.Batch.verification
+          = first.Service.Batch.verification);
+        check_true "identical verdict"
+          (again.Service.Batch.certificate = first.Service.Batch.certificate);
+        check_counts metrics ~runs:1 ~reused:1;
+        check_int "both responses counted" 2
+          metrics.Service.Metrics.verify_failures);
+    case "a relabelled request is checked under its own labels" (fun () ->
+        let chain = small_gemm_chain () in
+        let alias =
+          Ir.Chain.batch_gemm_chain ~name:"alias-gemm" ~batch:2 ~m:12 ~n:6
+            ~k:5 ~l:10 ~softmax:false ()
+        in
+        let cache, metrics = corrupt_cache chain in
+        let labels (r : Service.Batch.response) =
+          List.sort_uniq compare
+            (List.map
+               (fun (d : D.t) -> d.D.loc.D.unit_name)
+               r.Service.Batch.verification)
+        in
+        let own = verified ~verify:warn ~cache ~metrics chain in
+        let aliased = verified ~verify:warn ~cache ~metrics alias in
+        check_true "one cache entry"
+          (aliased.Service.Batch.fingerprint = own.Service.Batch.fingerprint
+          && aliased.Service.Batch.source = Service.Batch.Cache);
+        check_true "findings name the chain" (labels own = [ "small-gemm" ]);
+        check_true "findings name the alias" (labels aliased = [ "alias-gemm" ]);
+        check_counts metrics ~runs:2 ~reused:0;
+        (* A machine relabel is a different check too... *)
+        let renamed = { a100 with Arch.Machine.name = "a100-alias" } in
+        ignore (verified ~verify:warn ~cache ~metrics ~machine:renamed alias);
+        check_counts metrics ~runs:3 ~reused:0;
+        (* ...and the latest labels are the ones reused. *)
+        let reused =
+          verified ~verify:warn ~cache ~metrics ~machine:renamed alias
+        in
+        check_counts metrics ~runs:3 ~reused:1;
+        check_true "reused findings keep the alias"
+          (labels reused = [ "alias-gemm" ]));
   ]
 
 (* ----------------------------------------------------------------- *)
@@ -466,4 +554,5 @@ let suites =
     ("verify.driver", driver_tests);
     ("verify.fuzz", fuzz_tests);
     ("verify.fixtures", seeded_bug_tests);
+    ("verify.verdict_reuse", verdict_reuse_tests);
   ]
