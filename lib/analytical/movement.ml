@@ -443,6 +443,21 @@ let eval_order (tpl : template) ~order ~trips tiles (out : cell) =
   out.dv <- !dv;
   !mu
 
+(* One-trip loops are invisible to every pricing walk above: [t > 1]
+   gates the reuse break, and [dm *. 1.0] is exact.  The multi-trip
+   subsequence is therefore the whole of an order's influence. *)
+let multi_trip_loops ~extents ~order tiles out =
+  let len = ref 0 in
+  for p = 0 to Array.length order - 1 do
+    let a = order.(p) in
+    if tiles.(a) < extents.(a) then begin
+      out.(!len) <- a;
+      incr len
+    end
+  done;
+  Array.fill out !len (Array.length order - !len) (-1);
+  !len
+
 let eval ev ~tiling =
   let tiles =
     Array.map (fun name -> Tiling.get tiling name) ev.e_axes

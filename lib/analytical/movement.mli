@@ -86,6 +86,23 @@ val eval_order :
     nothing, so a caller pricing one tiling per order never compiles an
     evaluator. *)
 
+val multi_trip_loops :
+  extents:int array -> order:int array -> int array -> int array -> int
+(** The order-dependence lemma.  A loop whose tile covers its extent
+    runs one trip: it multiplies a DM by exactly [1.0] (an IEEE
+    identity) and never ends a reuse run (only an iterating loop that
+    indexes the tensor does).  So {!analyze}, {!eval_array},
+    {!eval_order} and every {!batch_sweep} lane depend on the order
+    only through the subsequence of its loops whose tile is below the
+    extent, and MU does not depend on the order at all: two orders
+    whose subsequences are equal price every such tiling [=].
+
+    [multi_trip_loops ~extents ~order tiles out] writes that
+    subsequence of [order] (axis ids, innermost first, as
+    {!order_ids} gives them) into [out], fills the rest of
+    [out.(0 .. Array.length order - 1)] with [-1], and returns its
+    length. *)
+
 val eval : evaluator -> tiling:Tiling.t -> float * int
 (** [(dv_bytes, mu_bytes)] for a tiling — equal to the corresponding
     fields of {!analyze} on the same inputs. *)

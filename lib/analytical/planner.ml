@@ -41,7 +41,12 @@ type candidate = {
   c_dv_bytes : float;
 }
 
-type explore_stats = { evaluated : int; pruned : int; evals : int }
+type explore_stats = {
+  evaluated : int;
+  pruned : int;
+  evals : int;
+  recalled : int;
+}
 
 (* Lower the shared best-so-far (DV, enumeration index) — lexicographic,
    matching the ranked tie-break (earliest-enumerated minimum DV wins).
@@ -69,7 +74,7 @@ let explore_raw chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
   (* One IR traversal serves every order's evaluator; the template is
      immutable after construction, so pool workers share it freely. *)
   let template = Movement.compile_template chain in
-  let solve_one enum_index perm =
+  let solve_one recall enum_index perm =
     (* [obs] is captured into pool-worker closures below: the per-order
        span records the worker domain as its tid while keeping the
        caller's span as parent — cross-domain parenting is just value
@@ -83,7 +88,7 @@ let explore_raw chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
         let verdict, evals =
           Solver.solve chain ~perm ~capacity_bytes ~full_tile ?max_tile
             ?min_tile ~extra_starts ?check ~engine ?prune_above ~enum_index
-            ~template ~obs ()
+            ~template ~recall ()
         in
         (match verdict with
         | Solver.Feasible sol ->
@@ -102,21 +107,39 @@ let explore_raw chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
             ];
         (verdict, evals))
   in
+  let n = List.length perms in
+  (* One recall table per lane of this exploration: tables are
+     unsynchronized, and a recall is exact, so which lane served which
+     order never shows in a verdict. *)
+  let lanes =
+    match pool with
+    | Some pool when n > 1 -> min (Util.Pool.size pool) n
+    | _ -> 1
+  in
+  let tables = Array.init lanes (fun _ -> Solver.recall_table ()) in
   let outcomes =
     (* Workers race only on the prune bound, which is monotone (in the
        lexicographic (DV, index) order) and only ever skips orders that
        cannot be selected — strictly worse, or exactly tied from a later
        enumeration position than the incumbent — so the pooled fan-out
-       and the serial loop select the same best plan.  Results are
+       and the serial loop select the same best plan.  Each lane pulls
+       orders off a shared counter with its own table; results are
        reassembled in enumeration order before ranking. *)
     match pool with
-    | Some pool when Util.Pool.size pool > 1 && List.length perms > 1 ->
+    | Some pool when lanes > 1 ->
         let perms_arr = Array.of_list perms in
-        Array.to_list
-          (Util.Pool.run pool
-             (fun i -> solve_one i perms_arr.(i))
-             (Array.length perms_arr))
-    | _ -> List.mapi solve_one perms
+        let results = Array.make n None in
+        let next = Atomic.make 0 in
+        let rec lane recall =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            results.(i) <- Some (solve_one recall i perms_arr.(i));
+            lane recall
+          end
+        in
+        ignore (Util.Pool.run pool (fun l -> lane tables.(l)) lanes);
+        Array.to_list (Array.map Option.get results)
+    | _ -> List.mapi (solve_one tables.(0)) perms
   in
   let stats =
     List.fold_left
@@ -127,7 +150,13 @@ let explore_raw chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
             (acc.pruned + match verdict with Solver.Pruned _ -> 1 | _ -> 0);
           evals = acc.evals + evals;
         })
-      { evaluated = List.length perms; pruned = 0; evals = 0 }
+      {
+        evaluated = n;
+        pruned = 0;
+        evals = 0;
+        recalled =
+          Array.fold_left (fun acc t -> acc + Solver.recalled t) 0 tables;
+      }
       outcomes
   in
   (perms, outcomes, stats)
@@ -232,7 +261,8 @@ let certificate_of chain ~capacity_bytes ~box ~winner_perm ~winner_tiling
     entries;
   }
 
-let optimize chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
+(* [optimize], plus the exploration's recall count for the level span. *)
+let optimize_recalled chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
     ?(prune = true) ?engine ?pool ?obs () =
   let perms_overridden = perms <> None in
   let perms, outcomes, stats =
@@ -261,7 +291,7 @@ let optimize chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
                ~winner_perm:best.c_perm ~winner_tiling:best.c_tiling
                ~winner_dv:movement.Movement.dv_bytes perms outcomes)
       in
-      {
+      ( {
         perm = best.c_perm;
         tiling = best.c_tiling;
         movement;
@@ -270,7 +300,14 @@ let optimize chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check
         perms_pruned = stats.pruned;
         solver_evals = stats.evals;
         certificate;
-      }
+      },
+      stats.recalled )
+
+let optimize chain ~capacity_bytes ?max_tile ?min_tile ?perms ?check ?prune
+    ?engine ?pool ?obs () =
+  fst
+    (optimize_recalled chain ~capacity_bytes ?max_tile ?min_tile ?perms
+       ?check ?prune ?engine ?pool ?obs ())
 
 let refine_for_parallelism chain plan ~min_blocks ?(slack = 4.0)
     ?min_tile ?(check = fun () -> ()) ?(obs = Obs.Trace.none) () =
@@ -356,11 +393,19 @@ let optimize_multilevel ?min_blocks ?min_tile ?check ?prune ?engine ?pool
                  [ ("level", level.Arch.Level.name) ]
                else [])
             (fun obs ->
-              let plan =
-                optimize chain
+              let plan, recalled =
+                optimize_recalled chain
                   ~capacity_bytes:level.Arch.Level.capacity_bytes ?max_tile
                   ?min_tile ?check ?prune ?engine ?pool ~obs ()
               in
+              if Obs.Trace.enabled obs then
+                Obs.Trace.annot obs
+                  [
+                    ("orders", string_of_int plan.candidates_evaluated);
+                    ("pruned", string_of_int plan.perms_pruned);
+                    ("evals", string_of_int plan.solver_evals);
+                    ("recalled", string_of_int recalled);
+                  ];
               (* Occupancy refinement applies at the outermost level,
                  where blocks are distributed over cores. *)
               match (parent, min_blocks) with

@@ -33,6 +33,10 @@ type explore_stats = {
   evaluated : int;  (** orders considered (the whole candidate space). *)
   pruned : int;  (** of those, skipped by the branch-and-bound gate. *)
   evals : int;  (** DV/MU model evaluations across all solves. *)
+  recalled : int;
+      (** of those, lanes served from the exploration's recall tables
+          ({!Solver.recall}) instead of recomputed.  Like [pruned], it
+          may vary between pooled runs; every other output does not. *)
 }
 
 val explore :
@@ -45,8 +49,14 @@ val explore :
     volume (plus exploration statistics) — the paper's Figure 2 view of
     the search space, used by diagnostics.
 
+    The exploration owns its recall tables ({!Solver.recall}): one per
+    pool lane, created here and dropped on return — never shared with
+    another exploration, level or chain.  [engine] [`Batched] consults
+    them; the other engines keep none.
+
     [obs] (default disabled) wraps each per-order solve in an ["order"]
-    span carrying the permutation and its verdict.  The context is
+    span carrying the permutation, its verdict and its evaluation
+    count.  The context is
     captured into the pool workers' closures, so under a pooled fan-out
     the spans land on the same trace with the caller's span as parent
     and the worker domain as [tid] — cross-domain parenting for free.
@@ -135,8 +145,10 @@ val optimize_multilevel :
     tiles are constrained to nest inside its parent's (sub-block
     decomposition).  [pool] parallelizes each level's order
     exploration.  Each level is traced as a ["planner.level"] span on
-    [obs] (with ["order"] children per explored permutation and a
-    ["planner.refine"] child at the outermost level). *)
+    [obs] carrying the level's [orders], [pruned], [evals] and
+    [recalled] counts (the first three equal to its plan's counters),
+    with ["order"] children per explored permutation and a
+    ["planner.refine"] child at the outermost level. *)
 
 val bottleneck : level_plan list -> level_plan
 (** The level with the largest movement cost — the max of Equation 3. *)

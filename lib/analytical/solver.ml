@@ -22,6 +22,57 @@ let better a b =
   || a.movement.Movement.dv_bytes = b.movement.Movement.dv_bytes
      && Tiling.total_blocks a.tiling < Tiling.total_blocks b.tiling
 
+(* The recall table.  By {!Movement.multi_trip_loops}' lemma a pricing
+   depends on the order only through the loops that iterate, so orders
+   of one chain that agree on that subsequence recompute each other's
+   results; the table hands them back instead.  Keys are flat int
+   arrays (fixed length per solve): the signature (multi-trip
+   subsequence, [-1]-padded) first, then the tile vector, then for a
+   frontier the swept axis and its candidate grid.  Values are the
+   exact lanes, so a recall is indistinguishable from a recomputation.
+   A table is mutable and unsynchronized: one per lane of one
+   exploration. *)
+module Key = struct
+  type t = int array
+
+  let equal (a : t) (b : t) = a = b
+
+  (* Every element: [Hashtbl.hash] reads only the first ten. *)
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    (!h lxor (!h lsr 32)) land max_int
+end
+
+module Ktbl = Hashtbl.Make (Key)
+
+(* A frontier's lanes as computed under [cutoff]: exact where
+   [dv <= cutoff], [infinity] above. *)
+type frontier = { cutoff : float; f_dv : float array; f_mu : int array }
+
+type probe = { p_dv : float; p_mu : int }
+
+type recall = {
+  frontiers : frontier Ktbl.t;
+  probes : probe Ktbl.t;  (* full (DV, MU) of one tile vector *)
+  mus : int Ktbl.t;  (* MU of one tile vector: order-free *)
+  mutable owner : Ir.Chain.t option;
+  mutable served : int;
+}
+
+let recall_table () =
+  {
+    frontiers = Ktbl.create 1024;
+    probes = Ktbl.create 256;
+    mus = Ktbl.create 256;
+    owner = None;
+    served = 0;
+  }
+
+let recalled t = t.served
+
 (* The search state is a plain tile-size vector indexed by chain-axis
    position; (DV, total blocks) rides along so the [better] order can be
    applied without rebuilding a Tiling.  [blocks] replays
@@ -40,17 +91,32 @@ let better a b =
      the replay (including the skip of the current value and the
      evolving (dv, blocks) incumbent) lands on the identical final
      tiling.  Lanes are bit-exact with [eval_array], so so is the DV.
+     Given a [recall] table, frontiers, points and MU probes another
+     order of the chain already priced are served from it (see the
+     table above); the evaluation count is kept as if they were not.
    - [`Compiled]: one {!Movement.eval_array} per candidate — kept as
      the single-candidate engine the equivalence suite compares
      against.
    - [`Reference]: a full Algorithm-1 run per evaluation. *)
 
-let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
+let solve chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
     ?min_tile ?(extra_starts = []) ?(boundary_grow = true)
     ?(uniform_start = true) ?(check = fun () -> ()) ?(engine = `Batched)
-    ?prune_above ?(enum_index = max_int) ?template () =
+    ?prune_above ?(enum_index = max_int) ?template ?recall () =
   Movement.validate_perm chain perm;
   check ();
+  (* Only the batched descent keeps a table: the single-candidate
+     engines are the oracles it is checked against. *)
+  let recall =
+    match (engine, recall) with
+    | `Batched, Some r ->
+        (match r.owner with
+        | None -> r.owner <- Some chain
+        | Some c when c == chain -> ()
+        | Some _ -> invalid_arg "Solver.solve: a recall table serves one chain");
+        Some r
+    | _ -> None
+  in
   let axes_l = chain.Ir.Chain.axes in
   let names = Array.of_list (List.map (fun (a : Ir.Axis.t) -> a.name) axes_l) in
   let extents =
@@ -73,13 +139,9 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
       | None -> Movement.compile chain ~perm)
   in
   let batch = lazy (Movement.compile_batch (Lazy.force evaluator)) in
-  let eval =
+  let price =
     match engine with
-    | `Batched | `Compiled ->
-        let ev = Lazy.force evaluator in
-        fun tiles ->
-          incr evals;
-          Movement.eval_array ev tiles
+    | `Batched | `Compiled -> Movement.eval_array (Lazy.force evaluator)
     | `Reference ->
         (* The pre-compilation reference path: a full Algorithm-1 run per
            evaluation.  Kept selectable so benches can measure the
@@ -88,7 +150,6 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
            instead of re-walking the chain. *)
         let template = Tiling.ones chain in
         fun tiles ->
-          incr evals;
           let assoc =
             Array.to_list (Array.mapi (fun i v -> (names.(i), v)) tiles)
           in
@@ -97,6 +158,10 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
               ~tiling:(Tiling.rebind template assoc)
           in
           (m.Movement.dv_bytes, m.Movement.mu_bytes)
+  in
+  let eval tiles =
+    incr evals;
+    price tiles
   in
   let blocks_of tiles =
     let acc = ref 1.0 in
@@ -316,11 +381,30 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
         in
         (* Batched variants.  [dirty] tracks whether the batch's loaded
            base still equals [cur]: adoptions flip it, and each axis
-           visit reloads first if needed.  An adoption on the axis being
-           swept does not invalidate that axis's own lanes (they
-           override the coordinate), so the reload waits for the next
-           axis — exactly when stale off-axis state could matter. *)
+           visit counts a reload first if needed.  An adoption on the
+           axis being swept does not invalidate that axis's own lanes
+           (they override the coordinate), so the reload waits for the
+           next axis — exactly when stale off-axis state could matter.
+           [stale] is the physical side of the same reload: it is
+           counted where it always was, but only performed before the
+           batch prices something the recall table could not serve. *)
         let dirty = ref true in
+        let stale = ref true in
+        let sync () =
+          if !dirty then begin
+            incr evals;
+            dirty := false;
+            stale := true
+          end
+        in
+        let loaded () =
+          let b = Lazy.force batch in
+          if !stale then begin
+            ignore (Movement.batch_load b cur);
+            stale := false
+          end;
+          b
+        in
         let max_cands =
           Array.fold_left (fun acc c -> max acc (Array.length c)) 1 cands
         in
@@ -332,20 +416,116 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
         let mu_lanes =
           lazy (Bigarray.Array1.create Bigarray.int Bigarray.c_layout max_cands)
         in
-        let reload_if_dirty b =
-          if !dirty then begin
-            incr evals;
-            ignore (Movement.batch_load b cur);
-            dirty := false
-          end
+        (* Recall keys, built in per-solve scratch of fixed length:
+           [signature | tiles] for a point, the same plus [axis | grid]
+           (swept coordinate zeroed, grid zero-padded) for a frontier,
+           and [tiles] alone for MU. *)
+        let order = Array.of_list (List.rev_map idx perm) in
+        let np = Array.length order in
+        let pt = Array.make n 0 in
+        let pkey = Array.make (np + n) 0 in
+        let fkey = Array.make (np + n + 1 + max_cands) 0 in
+        let mkey = Array.make n 0 in
+        (* [(dv, mu)] of the point [t]: recalled, or [compute ()]'s. *)
+        let recall_point t compute =
+          match recall with
+          | None -> compute ()
+          | Some r -> (
+              ignore (Movement.multi_trip_loops ~extents ~order t pkey);
+              Array.blit t 0 pkey np n;
+              match Ktbl.find r.probes pkey with
+              | p ->
+                  r.served <- r.served + 1;
+                  (p.p_dv, p.p_mu)
+              | exception Not_found ->
+                  let ((dv, mu) as res) = compute () in
+                  Ktbl.replace r.probes (Array.copy pkey)
+                    { p_dv = dv; p_mu = mu };
+                  res)
+        in
+        (* MU of [t], which no order changes: recalled, or [compute ()]'s. *)
+        let recall_mu t compute =
+          match recall with
+          | None -> compute ()
+          | Some r -> (
+              Array.blit t 0 mkey 0 n;
+              match Ktbl.find r.mus mkey with
+              | mu ->
+                  r.served <- r.served + 1;
+                  mu
+              | exception Not_found ->
+                  let mu = compute () in
+                  Ktbl.replace r.mus (Array.copy mkey) mu;
+                  mu)
+        in
+        (* Boundary-grow probes of [cur] with [axis := v]. *)
+        let probe ~axis v =
+          Array.blit cur 0 pt 0 n;
+          pt.(axis) <- v;
+          recall_point pt (fun () -> Movement.batch_probe (loaded ()) ~axis v)
+        in
+        let probe_mu ~axis v =
+          Array.blit cur 0 pt 0 n;
+          pt.(axis) <- v;
+          recall_mu pt (fun () -> snd (Movement.batch_probe (loaded ()) ~axis v))
+        in
+        (* The frontier [cur with axis := cs.(k)], k < ncs, into the
+           lanes under [cutoff].  A recalled entry computed under a
+           cutoff at or above this one is re-cut at this one: a fresh
+           sweep reports a lane exactly iff its DV is at most the
+           cutoff (the partial sums rise to the final DV, and an axis
+           that moves no charged DM leaves every lane at the base DV,
+           which is the incumbent), so the lanes are bit-identical. *)
+        let sweep ~axis cs ncs ~cutoff =
+          let dv_lanes = Lazy.force dv_lanes in
+          let mu_lanes = Lazy.force mu_lanes in
+          let compute () =
+            ignore
+              (Movement.batch_sweep (loaded ()) ~axis ~values:cs ~count:ncs
+                 ~cutoff ~dv:dv_lanes ~mu:mu_lanes ())
+          in
+          match recall with
+          | None -> compute ()
+          | Some r -> (
+              (* The swept coordinate is zeroed: below every extent, it
+                 stays in the signature whatever trips the lanes run. *)
+              Array.blit cur 0 pt 0 n;
+              pt.(axis) <- 0;
+              ignore (Movement.multi_trip_loops ~extents ~order pt fkey);
+              Array.blit pt 0 fkey np n;
+              fkey.(np + n) <- axis;
+              Array.fill fkey (np + n + 1) max_cands 0;
+              Array.blit cs 0 fkey (np + n + 1) ncs;
+              match Ktbl.find r.frontiers fkey with
+              | f when cutoff <= f.cutoff ->
+                  r.served <- r.served + ncs;
+                  for k = 0 to ncs - 1 do
+                    let dv = f.f_dv.(k) in
+                    dv_lanes.{k} <- (if dv > cutoff then infinity else dv);
+                    mu_lanes.{k} <- f.f_mu.(k)
+                  done
+              | _ | (exception Not_found) ->
+                  compute ();
+                  let f_dv = Array.make ncs 0.0 and f_mu = Array.make ncs 0 in
+                  for k = 0 to ncs - 1 do
+                    f_dv.(k) <- dv_lanes.{k};
+                    f_mu.(k) <- mu_lanes.{k}
+                  done;
+                  Ktbl.replace r.frontiers (Array.copy fkey)
+                    { cutoff; f_dv; f_mu })
         in
         let descend_batched start =
-          let b = Lazy.force batch in
           incr evals;
-          let sdv, smu = Movement.batch_load b start in
+          let held = ref false in
+          let sdv, smu =
+            recall_point start (fun () ->
+                held := true;
+                Movement.batch_load (Lazy.force batch) start)
+          in
           if smu <= capacity_bytes then begin
             load start sdv (blocks_of start);
-            dirty := false
+            dirty := false;
+            stale := not !held
           end
           else begin
             load base base_dv base_blocks;
@@ -364,11 +544,9 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
                 let cs = cands.(j) in
                 let ncs = Array.length cs in
                 if ncs > 0 then begin
-                  reload_if_dirty b;
+                  sync ();
                   evals := !evals + ncs;
-                  ignore
-                    (Movement.batch_sweep b ~axis:i ~values:cs ~count:ncs
-                       ~cutoff:!cur_dv ~dv:dv_lanes ~mu:mu_lanes ());
+                  sweep ~axis:i cs ncs ~cutoff:!cur_dv;
                   for k = 0 to ncs - 1 do
                     let v = cs.(k) in
                     if v <> cur.(i) then begin
@@ -396,7 +574,6 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
           done
         in
         let grow_batched () =
-          let b = Lazy.force batch in
           let improved = ref true in
           let passes = ref 0 in
           while !improved && !passes < 3 do
@@ -405,11 +582,10 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
             incr passes;
             Array.iter
               (fun i ->
-                reload_if_dirty b;
+                sync ();
                 let feasible_at v =
                   incr evals;
-                  let _, mu = Movement.batch_probe b ~axis:i v in
-                  mu <= capacity_bytes
+                  probe_mu ~axis:i v <= capacity_bytes
                 in
                 let rec bsearch lo hi =
                   if hi <= lo then lo
@@ -424,7 +600,7 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
                   (fun v ->
                     if v > cur.(i) then begin
                       incr evals;
-                      let dv, mu = Movement.batch_probe b ~axis:i v in
+                      let dv, mu = probe ~axis:i v in
                       let prev = cur.(i) in
                       cur.(i) <- v;
                       let blocks = blocks_of cur in
@@ -475,7 +651,9 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
             if hi <= lo then lo
             else begin
               let mid = (lo + hi + 1) / 2 in
-              let _, mu = eval (at mid) in
+              let t = at mid in
+              incr evals;
+              let mu = recall_mu t (fun () -> snd (price t)) in
               if mu <= capacity_bytes then bsearch mid hi
               else bsearch lo (mid - 1)
             end
@@ -508,22 +686,6 @@ let solve_impl chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
     let verdict = attempt ~use_floors:true in
     (verdict, !evals)
   end
-
-(* The traced entry point.  The descent itself stays untouched — its
-   hot loop carries no tracing code at all; one span brackets the whole
-   per-order solve and records the evaluation count on close. *)
-let solve chain ~perm ~capacity_bytes ?full_tile ?max_tile ?min_tile
-    ?extra_starts ?boundary_grow ?uniform_start ?check ?engine ?prune_above
-    ?enum_index ?template ?(obs = Obs.Trace.none) () =
-  Obs.Trace.span obs "solver.descent" (fun obs ->
-      let ((_, evals) as result) =
-        solve_impl chain ~perm ~capacity_bytes ?full_tile ?max_tile ?min_tile
-          ?extra_starts ?boundary_grow ?uniform_start ?check ?engine
-          ?prune_above ?enum_index ?template ()
-      in
-      if Obs.Trace.enabled obs then
-        Obs.Trace.annot obs [ ("evals", string_of_int evals) ];
-      result)
 
 let solve_for_perm chain ~perm ~capacity_bytes ?(full_tile = []) ?max_tile
     ?min_tile ?(extra_starts = []) ?(boundary_grow = true)

@@ -44,6 +44,35 @@ type verdict =
           kept so the planner can record it in the plan's optimality
           {!Certificate.t}. *)
 
+type recall
+(** An exact recall table for the [`Batched] descent, shared by the
+    solves of many orders of one chain.  By
+    {!Movement.multi_trip_loops}' lemma a pricing depends on the order
+    only through its multi-trip loops, so the table is keyed by them:
+
+    - a frontier sweep by the swept axis, its candidate grid, the other
+      tile coordinates, and the multi-trip subsequence with the swept
+      axis added;
+    - a point (a descent start, a boundary-grow DV probe) by its tile
+      vector and multi-trip subsequence;
+    - an MU-only probe (boundary-grow feasibility, the uniform start's
+      bisection) by its tile vector alone.
+
+    A recalled frontier returns the bit-exact lanes an earlier order
+    computed, and only when the current DV cutoff is at or below the
+    one they were computed under (re-cut at the current one).  Every
+    descent, every tiling, every verdict and every evaluation count is
+    therefore identical with or without a table.  A table is mutable
+    and unsynchronized — one per domain — and serves one chain: a solve
+    with another chain raises [Invalid_argument]. *)
+
+val recall_table : unit -> recall
+(** A fresh, empty table. *)
+
+val recalled : recall -> int
+(** Lanes served from the table so far: a recalled frontier counts its
+    candidates, a recalled point or MU probe counts one. *)
+
 val candidate_sizes : int -> int list
 (** The tile-size grid for an axis of the given extent: powers of two up
     to the extent, merged with the extent's halvings
@@ -55,7 +84,7 @@ val solve :
   ?min_tile:(string -> int) -> ?extra_starts:Tiling.t list ->
   ?boundary_grow:bool -> ?uniform_start:bool -> ?check:(unit -> unit) ->
   ?engine:engine -> ?prune_above:float * int -> ?enum_index:int ->
-  ?template:Movement.template -> ?obs:Obs.Trace.ctx -> unit -> verdict * int
+  ?template:Movement.template -> ?recall:recall -> unit -> verdict * int
 (** Best feasible tiling for one permutation, plus the number of DV/MU
     model evaluations spent.
 
@@ -63,10 +92,11 @@ val solve :
     caller solving many orders of the same chain pays the IR traversal
     once; when absent the solve compiles its own evaluator.
 
-    [obs] (default disabled) brackets the solve in a ["solver.descent"]
-    span recording the evaluation count; the descent loop itself is
-    never instrumented, so a disabled context costs one branch per
-    solve.
+    [recall] shares exact results with the other orders solved
+    through the same table (see {!recall}); only the [`Batched] engine
+    consults it, and the verdict and the count are the same without
+    it.  The solve itself is never instrumented: the caller's span
+    around it carries the count.
 
     [prune_above] is the branch-and-bound incumbent as
     [(best_dv, best_enum_index)]: before descending,

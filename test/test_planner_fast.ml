@@ -247,6 +247,74 @@ let prop_batch_matches_eval_array name arb =
       load_ok && !sweep_ok && probe_ok && !cutoff_ok)
 
 (* ----------------------------------------------------------------- *)
+(* One-trip loops are invisible: the recall table's lemma             *)
+(* ----------------------------------------------------------------- *)
+
+(* The solver's recall table serves one order's lanes to another when
+   their multi-trip subsequences agree; that is sound only if such
+   orders price every tiling identically ([=]).  A random tiling with
+   a random set of axes pinned at their extent (one trip), a random
+   order, and a second order that keeps the multi-trip axes in the
+   same relative order but scatters the one-trip axes anywhere.  MU
+   must not see the order at all: a third, unrelated order agrees on
+   it. *)
+let prop_multi_trip_lemma name arb =
+  QCheck.Test.make
+    ~name:("orders agreeing on their multi-trip loops price = on " ^ name)
+    ~count:300 arb
+    (fun (chain, seed) ->
+      let prng = Util.Prng.create ~seed in
+      let tpl = Analytical.Movement.compile_template chain in
+      let tiling = Test_properties.random_tiling_of prng chain in
+      let tiling =
+        List.fold_left
+          (fun t axis ->
+            if Util.Prng.bool prng then
+              Analytical.Tiling.set t axis (Ir.Chain.extent_of chain axis)
+            else t)
+          tiling
+          (Analytical.Movement.fused_axes chain)
+      in
+      let one_trip axis =
+        Analytical.Tiling.get tiling axis = Ir.Chain.extent_of chain axis
+      in
+      let p1 = Test_properties.random_perm_of prng chain in
+      let multi = List.filter (fun a -> not (one_trip a)) p1 in
+      let ones = Array.of_list (List.filter one_trip p1) in
+      Util.Prng.shuffle prng ones;
+      (* Interleave: each slot draws from the one-trip pool or the
+         (order-preserving) multi-trip queue at random. *)
+      let rec interleave multi ones acc =
+        match (multi, ones) with
+        | [], rest | rest, [] -> List.rev_append acc rest
+        | m :: ms, o :: os ->
+            if Util.Prng.bool prng then interleave ms ones (m :: acc)
+            else interleave multi os (o :: acc)
+      in
+      let p2 = interleave multi (Array.to_list ones) [] in
+      let p3 = Test_properties.random_perm_of prng chain in
+      let axes =
+        Analytical.Movement.axis_names
+          (Analytical.Movement.compile_with tpl ~perm:p1)
+      in
+      let tiles = Array.map (Analytical.Tiling.get tiling) axes in
+      let extents = Array.map (Ir.Chain.extent_of chain) axes in
+      let price perm =
+        Analytical.Movement.eval_array
+          (Analytical.Movement.compile_with tpl ~perm)
+          tiles
+      in
+      let signature perm =
+        let order = Analytical.Movement.order_ids tpl ~perm in
+        let out = Array.make (Array.length order) 0 in
+        ignore (Analytical.Movement.multi_trip_loops ~extents ~order tiles out);
+        out
+      in
+      signature p1 = signature p2
+      && price p1 = price p2
+      && snd (price p1) = snd (price p3))
+
+(* ----------------------------------------------------------------- *)
 (* The branch-and-bound bound never undercuts a real point            *)
 (* ----------------------------------------------------------------- *)
 
@@ -450,15 +518,25 @@ let tie_prune_case =
             = []))
         presets)
 
+(* Conv chains under a batch override: the batch axis becomes a
+   movable loop, so each level descends 720 orders, none of which the
+   bound prunes on C2 — the heaviest plans, and where the recall table
+   serves most of the lanes. *)
+let batched_conv name batch =
+  let c = Option.get (Workloads.Conv_configs.by_name name) in
+  ( Printf.sprintf "%s batch %d" name batch,
+    Workloads.Conv_configs.chain ~relu:false ~batch c )
+
 (* The remaining engine pairing: `Compiled (single-candidate descent,
-   no batch memoization) must land on the same plans as the default
-   batched engine — the batch is a pure evaluation-strategy change. *)
+   no batch memoization, no recall table) must land on the same plans
+   and the same certificates as the default batched engine — the batch
+   and the table are pure evaluation-strategy changes. *)
 let compiled_engine_case =
   slow_case "single-candidate engine reproduces the batched plans"
     (fun () ->
-      let machine = List.assoc "cpu" presets in
       List.iter
-        (fun (name, chain) ->
+        (fun (preset, (name, chain)) ->
+          let machine = List.assoc preset presets in
           let batched =
             Analytical.Planner.optimize_multilevel chain ~machine
           in
@@ -472,11 +550,19 @@ let compiled_engine_case =
           List.iter2
             (fun (b : Analytical.Planner.level_plan)
                  (c : Analytical.Planner.level_plan) ->
-              check_same_plan
-                (Printf.sprintf "%s@%s" name b.level.Arch.Level.name)
-                c.plan b.plan)
+              let what =
+                Printf.sprintf "%s/%s@%s" preset name b.level.Arch.Level.name
+              in
+              check_same_plan what c.plan b.plan;
+              check_true (what ^ ": same certificate")
+                (c.plan.certificate = b.plan.certificate))
             batched compiled)
-        (workloads ()))
+        (List.map (fun w -> ("cpu", w)) (workloads ())
+        @ [
+            ("cpu", batched_conv "C1" 4);
+            ("cpu", batched_conv "C2" 4);
+            ("npu", batched_conv "C2" 4);
+          ]))
 
 (* Pruning bookkeeping: every order is either solved or pruned, and
    pruned ones spent no descent. *)
@@ -501,6 +587,115 @@ let prune_accounting_case =
             && stats.Analytical.Planner.pruned
                < stats.Analytical.Planner.evaluated))
         presets)
+
+(* ----------------------------------------------------------------- *)
+(* Recall across orders                                               *)
+(* ----------------------------------------------------------------- *)
+
+(* The table itself: solving a random chain's orders, in a random
+   sequence, through one shared table gives every order the verdict
+   and the evaluation count it gets alone — under random capacities
+   and random nesting caps, so grids, starts and lane cutoffs vary. *)
+let prop_recall_invisible name arb =
+  QCheck.Test.make
+    ~name:("solves through one recall table = solves alone on random " ^ name)
+    ~count:100 arb
+    (fun (chain, seed) ->
+      let prng = Util.Prng.create ~seed in
+      let perms = Array.of_list (Analytical.Permutations.candidates chain) in
+      Util.Prng.shuffle prng perms;
+      let full_tile = Analytical.Permutations.full_tile_axes chain in
+      let capacity_bytes = 64 * (1 + Util.Prng.int prng ~bound:256) in
+      let max_tile =
+        if Util.Prng.bool prng then None
+        else
+          let caps =
+            List.map
+              (fun axis ->
+                ( axis,
+                  1 + Util.Prng.int prng ~bound:(Ir.Chain.extent_of chain axis)
+                ))
+              (Analytical.Movement.fused_axes chain)
+          in
+          Some (fun axis -> List.assoc axis caps)
+      in
+      let recall = Analytical.Solver.recall_table () in
+      Array.for_all
+        (fun perm ->
+          let solve ?recall () =
+            Analytical.Solver.solve chain ~perm ~capacity_bytes ~full_tile
+              ?max_tile ?recall ()
+          in
+          solve ~recall () = solve ())
+        perms)
+
+let recall_tests =
+  List.map qcheck
+    [
+      prop_recall_invisible "gemm chains" Test_properties.arbitrary_gemm_setup;
+      prop_recall_invisible "conv chains" Test_properties.arbitrary_conv_setup;
+    ]
+  @ [
+    (* Per-lane tables see different order subsets, and a recall is
+       exact, so lanes never show: with nothing pruned (C2 batch 4 on
+       cpu prunes no order at any level) even the evaluation counts
+       match the serial plan. *)
+    slow_case "a 2-lane pool plans C2 batch 4 exactly as serially"
+      (fun () ->
+        let _, chain = batched_conv "C2" 4 in
+        let machine = List.assoc "cpu" presets in
+        let serial = Analytical.Planner.optimize_multilevel chain ~machine in
+        let pool = Util.Pool.create ~domains:2 () in
+        let pooled =
+          Fun.protect
+            ~finally:(fun () -> Util.Pool.shutdown pool)
+            (fun () ->
+              Analytical.Planner.optimize_multilevel ~pool chain ~machine)
+        in
+        List.iter2
+          (fun (s : Analytical.Planner.level_plan)
+               (p : Analytical.Planner.level_plan) ->
+            check_true
+              (s.level.Arch.Level.name ^ ": identical plan")
+              (s.plan = p.plan))
+          serial pooled);
+    slow_case "planner.level spans report the recall table's work"
+      (fun () ->
+        let _, chain = batched_conv "C2" 4 in
+        let machine = List.assoc "cpu" presets in
+        let trace = Obs.Trace.make () in
+        let plans =
+          Analytical.Planner.optimize_multilevel ~obs:(Obs.Trace.ctx trace)
+            chain ~machine
+        in
+        let levels =
+          List.filter
+            (fun (sp : Obs.Trace.span) -> sp.name = "planner.level")
+            (Obs.Trace.spans trace)
+        in
+        check_int "one span per level" (List.length plans)
+          (List.length levels);
+        List.iter
+          (fun (lp : Analytical.Planner.level_plan) ->
+            let name = lp.level.Arch.Level.name in
+            let sp =
+              List.find
+                (fun (sp : Obs.Trace.span) ->
+                  List.assoc_opt "level" sp.attrs = Some name)
+                levels
+            in
+            let attr k =
+              match List.assoc_opt k sp.attrs with
+              | Some v -> int_of_string v
+              | None -> Alcotest.failf "%s: no %s attribute" name k
+            in
+            check_int (name ^ ": orders") lp.plan.candidates_evaluated
+              (attr "orders");
+            check_int (name ^ ": pruned") lp.plan.perms_pruned (attr "pruned");
+            check_int (name ^ ": evals") lp.plan.solver_evals (attr "evals");
+            check_true (name ^ ": lanes recalled") (attr "recalled" > 0))
+          plans);
+  ]
 
 (* ----------------------------------------------------------------- *)
 (* The domain pool                                                    *)
@@ -640,6 +835,10 @@ let suites =
             Test_properties.arbitrary_gemm_setup;
           prop_batch_matches_eval_array "conv chains"
             Test_properties.arbitrary_conv_setup;
+          prop_multi_trip_lemma "gemm chains"
+            Test_properties.arbitrary_gemm_setup;
+          prop_multi_trip_lemma "conv chains"
+            Test_properties.arbitrary_conv_setup;
           prop_lower_bound_sound "gemm chains"
             Test_properties.arbitrary_gemm_setup;
           prop_lower_bound_sound "conv chains"
@@ -650,6 +849,7 @@ let suites =
       explore_head_cases
       @ [ prune_accounting_case; tie_prune_case; compiled_engine_case ]
       @ List.map multilevel_equivalence_case presets );
+    ("planner_fast.recall", recall_tests);
     ("planner_fast.pool", pool_tests);
     ("planner_fast.memo", memo_tests);
     ("planner_fast.lint", lint_strict_cases);

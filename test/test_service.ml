@@ -1455,6 +1455,30 @@ let observability_tests =
             check_true "plain response has no trace id"
               (Util.Json.member "trace_id" plain = None)
         | _ -> Alcotest.failf "expected 3 lines, got %d" (List.length out));
+    (* A batch override makes the batch axis movable: 720 orders at
+       each of three levels.  Per-order spans must leave room under
+       the span cap for the spans that close after them, or the
+       answer loses the skeleton that explains it. *)
+    slow_case "a heavy traced answer keeps its skeleton" (fun () ->
+        let out =
+          serve ~verify:Service.Batch.Verify_strict
+            [
+              {|{"workload":"C1","arch":"cpu","batch":4,"timings":true,"id":"h"}|};
+              {|{"cmd":"quit"}|};
+            ]
+        in
+        match out with
+        | [ resp; _quit ] -> (
+            check_true "certified"
+              (jfield "certificate" resp = Util.Json.String "certified");
+            match jfield "timings_ms" resp with
+            | Util.Json.Obj phases ->
+                List.iter
+                  (fun key ->
+                    check_true (key ^ " timed") (List.mem_assoc key phases))
+                  [ "solve"; "plan.unit"; "planner.level"; "codegen"; "verify" ]
+            | _ -> Alcotest.fail "timings_ms missing or not an object")
+        | l -> Alcotest.failf "expected 2 responses, got %d" (List.length l));
     slow_case "the traces verb dumps the bounded ring" (fun () ->
         let out =
           serve
